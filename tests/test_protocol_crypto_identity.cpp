@@ -1,8 +1,8 @@
 // End-to-end byte-identity gate for the crypto fast paths: a fixed-seed
-// protocol run must produce identical traces, public keys, payments, and
-// outcomes whether SHA-256 runs on the scalar backend with inline keygen or
-// on the dispatch-selected SIMD backend with parallel MSS keygen and the
-// verification cache engaged.
+// protocol run must produce identical public keys and identical artifacts
+// (outcome, ledger, JSONL, trace, catapult, metrics) whether SHA-256 runs on
+// the scalar backend with inline keygen or on the dispatch-selected SIMD
+// backend with parallel MSS keygen and the verification cache engaged.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,28 +15,27 @@
 #include "crypto/pki.hpp"
 #include "crypto/sha256.hpp"
 #include "protocol/churn.hpp"
-#include "protocol/detail/run_internals.hpp"
-#include "protocol/runner.hpp"
+#include "support/run_capture.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl {
 namespace {
 
+// Every pinned run artifact plus the public keys the run registered.
 struct RunArtifacts {
-    std::string trace;
+    protocol::test_support::RunCapture run;
     std::string public_keys;  // hex, one line per identity
-    std::string money;        // payments/fines/utilities rendered to text
-    bool operator==(const RunArtifacts&) const = default;
+    bool operator==(const RunArtifacts& other) const {
+        return run == other.run && public_keys == other.public_keys;
+    }
 };
 
 RunArtifacts capture_run(const protocol::ProtocolConfig& config,
                          protocol::DriverKind driver = protocol::DriverKind::kSim) {
     RunArtifacts artifacts;
     std::ostringstream keys;
-    const auto outcome = protocol::run_protocol(
-        protocol::RunRequest{config, driver},
-        [&](const protocol::RunInternals& internals) {
-            artifacts.trace = internals.trace().render();
+    artifacts.run = protocol::test_support::capture(
+        config, driver, [&](const protocol::RunInternals& internals) {
             const auto& pki = internals.context.pki();
             for (const auto& name : internals.context.processor_names()) {
                 const auto& pk = pki.public_key_of(name);
@@ -51,14 +50,6 @@ RunArtifacts capture_run(const protocol::ProtocolConfig& config,
                  << '\n';
         });
     artifacts.public_keys = keys.str();
-    std::ostringstream money;
-    money << outcome.fine_amount << ' ' << outcome.makespan << ' ' << outcome.user_paid
-          << ' ' << outcome.control_messages << ' ' << outcome.control_bytes << '\n';
-    for (const auto& p : outcome.processors) {
-        money << p.name << ' ' << p.bid << ' ' << p.alpha << ' ' << p.payment << ' '
-              << p.fines << ' ' << p.rewards << ' ' << p.utility() << '\n';
-    }
-    artifacts.money = money.str();
     return artifacts;
 }
 
@@ -96,7 +87,7 @@ TEST(ProtocolCryptoIdentity, ScalarInlineEqualsSimdParallel) {
             config.crypto_keygen_jobs = 1;
             baseline = capture_run(config);
         }
-        ASSERT_FALSE(baseline.trace.empty());
+        ASSERT_FALSE(baseline.run.trace.empty());
         ASSERT_FALSE(baseline.public_keys.empty());
 
         RunArtifacts fast;
@@ -140,7 +131,7 @@ TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
 
         config.verify_batch = 1;  // eager baseline
         const RunArtifacts eager = capture_run(config);
-        ASSERT_FALSE(eager.trace.empty()) << scenario.name;
+        ASSERT_FALSE(eager.run.trace.empty()) << scenario.name;
 
         for (const std::size_t batch : {std::size_t{16}, std::size_t{64}}) {
             config.verify_batch = batch;
