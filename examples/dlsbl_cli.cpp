@@ -4,7 +4,7 @@
 //   dlsbl_cli [--kind fe|nfe] [--z <double>] [--w <w1,w2,...>]
 //             [--strategy <index>:<name>]... [--blocks N] [--latency L]
 //             [--fine F] [--seed S] [--trace] [--repeat N] [--jobs N]
-//             [--driver sim|bus] [--log-level off|error|warn|info|debug]
+//             [--log-level off|error|warn|info|debug]
 //             [--jsonl-out <file.jsonl>] [--trace-out <file.json>]
 //             [--metrics-out <file.txt>] [--profile]
 //
@@ -98,10 +98,6 @@ std::vector<double> parse_doubles(const std::string& csv) {
         "                 [--churn-plan SPEC]  fault-injection plan, e.g.\n"
         "                                      'crash:P3@0.1;restart:P3@0.5;\n"
         "                                      loss:P2@0.2-0.4;delay:P1@0-0.1+0.05'\n"
-        "                 [--driver sim|bus]    protocol driver: discrete-event\n"
-        "                                      sim (default) or the in-process\n"
-        "                                      message bus — artifacts are\n"
-        "                                      byte-identical either way\n"
         "                 [--repeat N]         run N seed-derived instances\n"
         "                 [--jobs N]           executor workers (or DLSBL_JOBS)\n"
         "                 [--log-level off|error|warn|info|debug]\n"
@@ -125,7 +121,6 @@ int main(int argc, char** argv) {
     config.true_w = {1.0, 2.0, 1.5, 0.8};
     config.block_count = 1200;
     config.signature_algorithm = crypto::SignatureAlgorithm::kFast;
-    protocol::DriverKind driver = protocol::DriverKind::kSim;
     bool show_trace = false;
     bool profile = false;
     bool metrics_port_set = false;
@@ -187,16 +182,6 @@ int main(int argc, char** argv) {
         const auto plan = protocol::ChurnPlan::parse(value);
         if (!plan) return false;
         config.churn_plan = *plan;
-        return true;
-    });
-    spec.option("--driver", [&](const std::string& value) {
-        if (value == "sim") {
-            driver = protocol::DriverKind::kSim;
-        } else if (value == "bus") {
-            driver = protocol::DriverKind::kBus;
-        } else {
-            return false;
-        }
         return true;
     });
     spec.flag("--trace", [&] { show_trace = true; });
@@ -300,7 +285,7 @@ int main(int argc, char** argv) {
         auto run_config = config;
         run_config.seed = (repeat == 1) ? config.seed : slot.seed();
         return protocol::run_protocol(
-            protocol::RunRequest{run_config, driver},
+            run_config,
             [&](const protocol::RunInternals& internals) {
                 // Fold the run's protocol counters and makespan histogram
                 // into the slot: live scrapes label them per run, and the

@@ -30,8 +30,8 @@ void export_network_metrics(const sim::NetworkMetrics& network,
 // SpanSink that mirrors span begin/end records into a sim::TraceRecorder,
 // preserving the exact record shapes the catapult exporter expects:
 // kSpanBegin carries actor+name, kSpanEnd carries empty strings (the begin
-// record already names the span). Both drivers use this so span artifacts
-// stay byte-identical across transports.
+// record already names the span). The sim driver installs it so spans reach
+// the trace and its catapult export.
 class TraceSpanSink final : public SpanSink {
  public:
     explicit TraceSpanSink(sim::TraceRecorder& trace) : trace_(trace) {}

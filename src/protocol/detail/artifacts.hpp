@@ -1,8 +1,7 @@
 // Definition of protocol::RunArtifacts (forward-declared in the sans-I/O
 // endpoint.hpp): the post-run artifact handles a Driver exposes. Lives in
-// detail/ because it names sim:: types — the trace recorder and the network
-// metrics are deliberately shared across drivers so the catapult/gantt and
-// Prometheus exports stay byte-identical regardless of transport.
+// detail/ because it names sim:: types: the trace recorder and the network
+// metrics that feed the catapult/gantt and Prometheus exports.
 #pragma once
 
 #include "protocol/endpoint.hpp"

@@ -3,8 +3,8 @@
 // A thin shim — every Transport/Clock call delegates straight to
 // sim::Network / sim::Simulator, and each Endpoint is wrapped in a
 // sim::Process adapter, so the event ordering, timing formulas and
-// trace/metrics records are exactly those of the pre-split runner
-// (byte-identity gated by the fixed-seed suites).
+// trace/metrics records are exactly those of the pre-split runner (every
+// artifact pinned by digest in tests/test_protocol_golden.cpp).
 #include <memory>
 #include <utility>
 #include <vector>
@@ -151,7 +151,7 @@ class SimDriver final : public Driver, public Clock, public Transport {
         obs::export_network_metrics(network_.metrics(), registry);
         if (churn_plan_.enabled()) {
             // Register both actions even at zero so churn runs always render
-            // the counters (identically on either driver).
+            // the counters.
             registry.counter("dlsbl_churn_messages_total", {{"action", "cut"}}).inc(cut_);
             registry.counter("dlsbl_churn_messages_total", {{"action", "delayed"}})
                 .inc(delayed_);

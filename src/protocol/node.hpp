@@ -131,7 +131,4 @@ class NodeCore final : public Endpoint {
     bool payment_submitted_ = false;
 };
 
-// The processor kept its pre-split name in most call sites.
-using ProcessorNode = NodeCore;
-
 }  // namespace dlsbl::protocol

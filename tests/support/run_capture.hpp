@@ -23,7 +23,6 @@
 #include "obs/catapult.hpp"
 #include "obs/event.hpp"
 #include "protocol/detail/run_internals.hpp"
-#include "protocol/runner.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl::protocol::test_support {
@@ -102,8 +101,7 @@ struct RunCapture {
 
 // Runs `config` with the JSONL event log captured at debug level. `extra`,
 // if set, sees the run's internals after the pinned artifacts are taken.
-inline RunCapture capture(const ProtocolConfig& config, DriverKind kind = DriverKind::kSim,
-                          const RunObserver& extra = {}) {
+inline RunCapture capture(const ProtocolConfig& config, const RunObserver& extra = {}) {
     auto& log = obs::EventLog::instance();
     log.reset();
     std::ostringstream jsonl;
@@ -111,14 +109,13 @@ inline RunCapture capture(const ProtocolConfig& config, DriverKind kind = Driver
     log.set_level(util::LogLevel::Debug);
 
     RunCapture capture;
-    capture.result =
-        run_protocol(RunRequest{config, kind}, [&](const RunInternals& internals) {
-            capture.ledger = render_ledger(internals.context.ledger());
-            capture.trace = internals.trace().render();
-            capture.catapult = obs::catapult_from_trace(internals.trace());
-            capture.run_metrics = internals.context.metrics_registry().prometheus_text();
-            if (extra) extra(internals);
-        });
+    capture.result = run_protocol(config, [&](const RunInternals& internals) {
+        capture.ledger = render_ledger(internals.context.ledger());
+        capture.trace = internals.trace().render();
+        capture.catapult = obs::catapult_from_trace(internals.trace());
+        capture.run_metrics = internals.context.metrics_registry().prometheus_text();
+        if (extra) extra(internals);
+    });
     log.flush();
     log.reset();
     capture.outcome = render_outcome(capture.result);

@@ -103,11 +103,9 @@ constexpr Golden kGolden[] = {
 // Runs the config, checks every artifact against its pinned digest, and
 // returns the capture for scenario-level assertions.
 RunCapture expect_golden(const ProtocolConfig& config, const std::string& label) {
-    RunCapture sim = capture(config);
-    test_support::expect_golden(sim, label, kGolden);
-    SCOPED_TRACE("bus");
-    test_support::expect_golden(capture(config, DriverKind::kBus), label, kGolden);
-    return sim;
+    RunCapture run = capture(config);
+    test_support::expect_golden(run, label, kGolden);
+    return run;
 }
 
 // ---- crash before bidding: bid-deadline exclusion ---------------------------

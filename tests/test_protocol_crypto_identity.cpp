@@ -30,12 +30,11 @@ struct RunArtifacts {
     }
 };
 
-RunArtifacts capture_run(const protocol::ProtocolConfig& config,
-                         protocol::DriverKind driver = protocol::DriverKind::kSim) {
+RunArtifacts capture_run(const protocol::ProtocolConfig& config) {
     RunArtifacts artifacts;
     std::ostringstream keys;
     artifacts.run = protocol::test_support::capture(
-        config, driver, [&](const protocol::RunInternals& internals) {
+        config, [&](const protocol::RunInternals& internals) {
             const auto& pki = internals.context.pki();
             for (const auto& name : internals.context.processor_names()) {
                 const auto& pk = pki.public_key_of(name);
@@ -104,7 +103,7 @@ TEST(ProtocolCryptoIdentity, ScalarInlineEqualsSimdParallel) {
 
 // Deferred batch signature verification must be OBSERVABLY IDENTICAL to
 // eager per-arrival verification: same verdicts at the same sim times, same
-// fines, same artifacts — at any batch size and on either driver. The
+// fines, same artifacts — at any batch size. The
 // scenarios pick the paths where a wrong flush point would show: honest
 // accumulation, a payment-phase verdict, a mid-bidding double-bid dispute,
 // and churn (exclusions, reallocation, canonical settlement).
@@ -138,12 +137,6 @@ TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
             EXPECT_EQ(eager, capture_run(config))
                 << scenario.name << " diverges at verify_batch=" << batch;
         }
-
-        // Same equivalence on the bus driver (different delivery machinery,
-        // same arrival order for a fixed seed).
-        config.verify_batch = 16;
-        EXPECT_EQ(eager, capture_run(config, protocol::DriverKind::kBus))
-            << scenario.name << " diverges on the bus driver";
     }
 }
 

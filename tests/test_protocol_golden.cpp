@@ -271,11 +271,8 @@ std::vector<Scenario> seed_scenarios() {
 
 void expect_golden(const std::vector<Scenario>& scenarios) {
     for (const auto& scenario : scenarios) {
-        for (const auto kind : {DriverKind::kSim, DriverKind::kBus}) {
-            SCOPED_TRACE(to_string(kind));
-            test_support::expect_golden(test_support::capture(scenario.config, kind),
-                                        scenario.label, kGolden);
-        }
+        test_support::expect_golden(test_support::capture(scenario.config), scenario.label,
+                                    kGolden);
     }
 }
 

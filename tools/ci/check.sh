@@ -54,9 +54,9 @@ step "churn + property suites"
 # The full ctest above already ran these (they are ordinary registered
 # tests); re-running them as named stages keeps the fault-injection and
 # truthfulness-under-churn verdicts legible in CI logs. The property label
-# selects every randomized sweep; the churn scenario suite pins sim/bus
-# byte-identity for each fault plan, including under the asan./tsan.
-# sanitized variants built above.
+# selects every randomized sweep; the churn scenario suite pins the SHA-256
+# digest of every artifact for each fault plan, including under the
+# asan./tsan. sanitized variants built above.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(ChurnScenarios|asan\..*ChurnScenarios|tsan\..*ChurnScenarios)'
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L property
