@@ -1,6 +1,7 @@
 // The repo's own analysis configuration: what dlsbl_analyze checks when
 // pointed at this tree. Kept in code (not a config file) so a change to the
 // architecture is a reviewed change to the analyzer gate.
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,10 +19,8 @@ AnalyzeConfig default_config() {
         "src/protocol/", "src/crypto/", "src/dlt/",
         "src/mech/",     "src/sim/",    "src/exec/",
     };
-    // obs renders timestamps and trace spans — direct clock reads there are
-    // its job, and taint only matters when obs values flow back out, which
-    // the facts file handles per-function.
-    config.taint.source_exempt_prefixes = {"src/obs/"};
+    // Justified sources (obs clocks, bench timers) and sanitized functions
+    // come from the facts file: Facts::configure.
 
     // Dispatch exhaustiveness: every MsgType must be registered (on or
     // ignore) by both dispatcher owners, and every churn event kind must be
@@ -65,21 +64,52 @@ AnalyzeConfig default_config() {
     return config;
 }
 
+const std::vector<PassRun>& pass_runs() {
+    static const std::vector<PassRun> kRuns = {
+        {"file-rules",
+         [](const Program& p, const AnalyzeConfig& c) {
+             return pass_file_rules(p, c.taint);
+         }},
+        {kPassTaint,
+         [](const Program& p, const AnalyzeConfig& c) {
+             return pass_taint(p, c.taint);
+         }},
+        {kPassLockOrder,
+         [](const Program& p, const AnalyzeConfig&) {
+             return pass_lock_order(p);
+         }},
+        {kPassDispatch,
+         [](const Program& p, const AnalyzeConfig& c) {
+             return pass_dispatch(p, c.dispatch);
+         }},
+        {kPassLayering,
+         [](const Program& p, const AnalyzeConfig& c) {
+             return pass_layering(p, c.layering);
+         }},
+    };
+    return kRuns;
+}
+
 std::vector<Finding> run_passes(const Program& program,
                                 const AnalyzeConfig& config) {
-    std::vector<Finding> findings = pass_taint(program, config.taint);
-    std::vector<Finding> more = pass_lock_order(program);
-    findings.insert(findings.end(), more.begin(), more.end());
-    more = pass_dispatch(program, config.dispatch);
-    findings.insert(findings.end(), more.begin(), more.end());
-    more = pass_layering(program, config.layering);
-    findings.insert(findings.end(), more.begin(), more.end());
+    std::vector<Finding> findings;
+    for (const PassRun& pass : pass_runs()) {
+        std::vector<Finding> found = pass.run(program, config);
+        findings.insert(findings.end(), std::make_move_iterator(found.begin()),
+                        std::make_move_iterator(found.end()));
+    }
     return findings;
 }
 
-std::vector<std::string> all_pass_ids() {
-    return {kPassTaint, kPassLockOrder, kPassDispatch, kPassLayering,
-            kPassIncludeCycle};
+const std::vector<std::string>& all_pass_ids() {
+    static const std::vector<std::string> kIds = {
+        kRuleDeterminism,    kRuleFloatEquality, kRuleManualLock,
+        kRuleCryptoAlloc,    kRuleProtocolCodec, kRulePragmaOnce,
+        kRuleUsingNamespace, kRuleMutableGlobal, kPassTaint,
+        kPassLockOrder,      kPassDispatch,      kPassLayering,
+        kPassIncludeCycle,
+    };
+    return kIds;
 }
 
 }  // namespace dlsbl::analyze

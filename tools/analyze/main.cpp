@@ -1,17 +1,14 @@
-// dlsbl_analyze — whole-program semantic analyzer (see passes.hpp).
+// dlsbl_analyze — the repo's static analyzer (see passes.hpp).
 //
 // Usage:
-//   dlsbl_analyze [--root DIR] [--compile-db FILE] [--facts FILE]
-//                 [--json-out PATH] [--sarif-out PATH] [--timings]
-//                 [--list-passes] [paths...]
+//   dlsbl_analyze [--root DIR] [--facts FILE] [--json-out PATH]
+//                 [--sarif-out PATH] [--timings] [--list-passes] [paths...]
 //
-// Paths are repo-relative files or directories (default: src). With
-// --compile-db the TU list comes from compile_commands.json instead
-// (filtered to the given paths) and is closed over quoted includes. Exit
-// codes: 0 clean, 1 findings, 2 usage/configuration error.
+// Paths are repo-relative files or directories (default: src tests bench
+// examples tools). Exit codes: 0 clean, 1 findings, 2 usage/configuration
+// error.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,9 +25,9 @@ namespace {
 
 int usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--root DIR] [--compile-db FILE] [--facts FILE] "
-                 "[--json-out PATH] [--sarif-out PATH] [--timings] "
-                 "[--list-passes] [paths...]\n",
+                 "usage: %s [--root DIR] [--facts FILE] [--json-out PATH] "
+                 "[--sarif-out PATH] [--timings] [--list-passes] "
+                 "[paths...]\n",
                  argv0);
     return 2;
 }
@@ -40,13 +37,25 @@ double ms_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
+bool write_artifact(const std::string& path, const std::string& doc,
+                    const char* tag) {
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        std::fprintf(stderr, "dlsbl_analyze: cannot open %s for writing\n",
+                     path.c_str());
+        return false;
+    }
+    out << doc;
+    std::printf("%s %s\n", tag, path.c_str());
+    return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     using dlsbl::analyze::Finding;
 
     std::string root = ".";
-    std::string compile_db;
     std::string facts_path = "tools/analyze/dlsbl_analyze.facts";
     bool facts_path_explicit = false;
     std::string json_out;
@@ -58,8 +67,6 @@ int main(int argc, char** argv) {
         const std::string_view arg = argv[i];
         if (arg == "--root" && i + 1 < argc) {
             root = argv[++i];
-        } else if (arg == "--compile-db" && i + 1 < argc) {
-            compile_db = argv[++i];
         } else if (arg == "--facts" && i + 1 < argc) {
             facts_path = argv[++i];
             facts_path_explicit = true;
@@ -85,7 +92,7 @@ int main(int argc, char** argv) {
             paths.emplace_back(arg);
         }
     }
-    if (paths.empty()) paths = {"src"};
+    if (paths.empty()) paths = {"src", "tests", "bench", "examples", "tools"};
 
     dlsbl::analyze::Facts facts;
     {
@@ -111,25 +118,9 @@ int main(int argc, char** argv) {
 
     auto start = std::chrono::steady_clock::now();
     std::vector<dlsbl::analyze::BuildError> build_errors;
-    std::vector<std::string> roots = paths;
-    if (!compile_db.empty()) {
-        std::string error;
-        std::vector<std::string> files;
-        if (!dlsbl::analyze::compile_db_files(root, compile_db, paths, &files,
-                                              &error)) {
-            std::fprintf(stderr, "dlsbl_analyze: %s\n", error.c_str());
-            return 2;
-        }
-        if (files.empty()) {
-            std::fprintf(stderr,
-                         "dlsbl_analyze: compile database has no entries "
-                         "under the requested paths\n");
-            return 2;
-        }
-        roots = files;
-    }
-    const dlsbl::analyze::Program program =
-        dlsbl::analyze::build_program_tree(root, roots, &build_errors);
+    const dlsbl::analyze::Program program = dlsbl::analyze::build_program_tree(
+        root, paths, &build_errors,
+        [&facts](const std::string& path) { return facts.skips(path); });
     if (timings) {
         std::printf("ANALYZE_TIMING parse %.1fms (%zu files)\n",
                     ms_since(start), program.files.size());
@@ -144,38 +135,9 @@ int main(int argc, char** argv) {
         findings.push_back(std::move(f));
     }
 
-    const dlsbl::analyze::AnalyzeConfig base = dlsbl::analyze::default_config();
-    dlsbl::analyze::AnalyzeConfig config = base;
-    config.taint.sanitized = facts.sanitize_globs();
-
-    struct PassRun {
-        const char* name;
-        std::vector<Finding> (*run)(const dlsbl::analyze::Program&,
-                                    const dlsbl::analyze::AnalyzeConfig&);
-    };
-    const PassRun pass_runs[] = {
-        {dlsbl::analyze::kPassTaint,
-         [](const dlsbl::analyze::Program& p,
-            const dlsbl::analyze::AnalyzeConfig& c) {
-             return dlsbl::analyze::pass_taint(p, c.taint);
-         }},
-        {dlsbl::analyze::kPassLockOrder,
-         [](const dlsbl::analyze::Program& p,
-            const dlsbl::analyze::AnalyzeConfig&) {
-             return dlsbl::analyze::pass_lock_order(p);
-         }},
-        {dlsbl::analyze::kPassDispatch,
-         [](const dlsbl::analyze::Program& p,
-            const dlsbl::analyze::AnalyzeConfig& c) {
-             return dlsbl::analyze::pass_dispatch(p, c.dispatch);
-         }},
-        {dlsbl::analyze::kPassLayering,
-         [](const dlsbl::analyze::Program& p,
-            const dlsbl::analyze::AnalyzeConfig& c) {
-             return dlsbl::analyze::pass_layering(p, c.layering);
-         }},
-    };
-    for (const PassRun& pass : pass_runs) {
+    dlsbl::analyze::AnalyzeConfig config = dlsbl::analyze::default_config();
+    facts.configure(&config.taint);
+    for (const dlsbl::analyze::PassRun& pass : dlsbl::analyze::pass_runs()) {
         start = std::chrono::steady_clock::now();
         std::vector<Finding> found = pass.run(program, config);
         if (timings) {
@@ -188,39 +150,31 @@ int main(int argc, char** argv) {
     }
 
     dlsbl::analyze::Filtered filtered =
-        dlsbl::analyze::apply_facts(facts, std::move(findings));
+        dlsbl::analyze::apply_facts(facts, program, std::move(findings));
     const bool clean = dlsbl::analyze::print_report(
         filtered.kept, filtered.suppressed, program.files.size(), std::cout);
 
-    for (const dlsbl::analyze::FactEntry& entry : facts.entries) {
-        if (entry.hits == 0 && entry.kind != "sanitize") {
-            std::fprintf(stderr,
-                         "dlsbl_analyze: note: facts line %zu (%s %s) "
-                         "matched nothing\n",
-                         entry.line, entry.kind.c_str(), entry.glob.c_str());
-        }
+    // Stale entries are surfaced, but a clean tree still passes: an entry
+    // may cover an optional build configuration.
+    for (const dlsbl::analyze::FactEntry* entry : facts.unused()) {
+        std::fprintf(stderr,
+                     "dlsbl_analyze: note: facts line %zu (%s %s) matched "
+                     "nothing\n",
+                     entry->line, entry->kind.c_str(), entry->glob.c_str());
     }
 
-    if (!json_out.empty()) {
-        std::ofstream out(json_out, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "dlsbl_analyze: cannot open %s for writing\n",
-                         json_out.c_str());
-            return 2;
-        }
-        out << dlsbl::analyze::report_json(filtered.kept, filtered.suppressed,
-                                           program.files.size());
-        std::printf("ANALYZE_JSON %s\n", json_out.c_str());
+    if (!json_out.empty() &&
+        !write_artifact(json_out,
+                        dlsbl::analyze::report_json(filtered.kept,
+                                                    filtered.suppressed,
+                                                    program.files.size()),
+                        "ANALYZE_JSON")) {
+        return 2;
     }
-    if (!sarif_out.empty()) {
-        std::ofstream out(sarif_out, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "dlsbl_analyze: cannot open %s for writing\n",
-                         sarif_out.c_str());
-            return 2;
-        }
-        out << dlsbl::analyze::report_sarif(filtered.kept);
-        std::printf("ANALYZE_SARIF %s\n", sarif_out.c_str());
+    if (!sarif_out.empty() &&
+        !write_artifact(sarif_out, dlsbl::analyze::report_sarif(filtered.kept),
+                        "ANALYZE_SARIF")) {
+        return 2;
     }
     return clean ? 0 : 1;
 }

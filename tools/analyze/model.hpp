@@ -1,20 +1,21 @@
 // dlsbl_analyze — whole-program model produced by the subset parser.
 //
-// Where dlsbl_lint sees one flat token stream per file, the analyzer
-// builds a lightweight per-TU symbol/call table (function definitions,
-// call sites, lock acquisitions, container declarations, enums, includes)
-// on top of the same tools/common lexer, then links the tables into a
-// Program: a call graph plus an include graph the four interprocedural
-// passes (passes.hpp) reason over. Still no libclang — the parser is a
-// pragmatic C++ subset recognizer whose known blind spots are documented
-// at each extraction site and pinned by tests/test_analyze.cpp.
+// Each file is lexed once (tools/common lexer). The token stream stays in
+// the FileModel for the per-file token rules, and the parser builds a
+// lightweight per-TU symbol/call table on top of it (function definitions,
+// call sites, lock acquisitions, container declarations, enums, includes).
+// The tables link into a Program: a call graph plus an include graph the
+// interprocedural passes (passes.hpp) reason over. Still no libclang — the
+// parser is a pragmatic C++ subset recognizer whose known blind spots are
+// documented at each extraction site and pinned by tests/test_analyze.cpp.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "common/lexer.hpp"
 
 namespace dlsbl::analyze {
 
@@ -25,9 +26,10 @@ struct IncludeRef {
     std::size_t line = 0;
 };
 
-// A nondeterminism source observed directly in a function body: libc
-// randomness/environment/wall-clock identifiers, `::now()`, or
-// pointer-keyed std::hash instantiation.
+// A nondeterminism source observed directly in the code: libc
+// randomness/environment/wall-clock identifiers, `::now()`, an
+// expression-context `time(`/`clock(` call, or pointer-keyed std::hash
+// instantiation.
 struct SourceHit {
     std::string what;  // e.g. "getenv", "::now", "pointer-hash"
     std::size_t line = 0;
@@ -35,7 +37,7 @@ struct SourceHit {
 };
 
 // A mutex acquisition through an RAII guard (lock_guard / scoped_lock /
-// unique_lock — the only forms the lint manual-lock rule admits).
+// unique_lock — the only forms the manual-lock rule admits).
 struct LockSite {
     std::string object;  // qualifier before the member ("other" in
                          // `other.mutex_`), empty for a bare name
@@ -111,14 +113,19 @@ struct ContainerDecl {
 
 struct FileModel {
     std::string path;  // repo-relative, forward slashes
+    tool::LexedFile lexed;  // tokens + inline DLSBL_LINT_ALLOW markers
     std::vector<IncludeRef> includes;
     std::vector<FunctionDef> functions;
     std::vector<EnumDef> enums;
     std::vector<MutexDecl> mutexes;
     std::vector<ContainerDecl> containers;
-    // Every `A::b` qualified reference in the file (dispatch/exhaustiveness
-    // checks test enumerator mentions against this set).
-    std::set<std::string> qualified_refs;
+    // Direct sources outside any function body (namespace-scope
+    // initializers, default member initializers, macro bodies).
+    std::vector<SourceHit> sources;
+    // Every `A::b` qualified reference in the file -> line of its first
+    // occurrence (dispatch checks test enumerator mentions against it; the
+    // layering pass tests module-qualified names).
+    std::map<std::string, std::size_t> qualified_refs;
 };
 
 // The linked whole-program view. Files are keyed by path (sorted map) so

@@ -6,9 +6,12 @@
 // expressed as an explicit allowed-deps table (see default_config) because
 // the order is not total: sim and exec are incomparable, baseline sits off
 // to the side. Two findings:
-//   * layering-dag   — an include edge whose target module is not in the
-//     includer module's allowed set (path-prefix exceptions let
-//     protocol/drivers/ and protocol/detail/ reach sim/exec);
+//   * layering-dag   — an include edge, or a module-qualified name
+//     (`sim::Simulator`), whose target module is not in the file's allowed
+//     set (path-prefix exceptions let protocol/drivers/ and
+//     protocol/detail/ reach sim/exec). The name check keeps the sans-I/O
+//     protocol core from naming the sim layer even through a header it may
+//     include;
 //   * include-cycle  — a cycle in the file-level quoted-include graph
 //     (reported once, anchored at the smallest path).
 #include <algorithm>
@@ -37,30 +40,40 @@ std::vector<Finding> pass_layering(const Program& program,
                                    const LayeringConfig& config) {
     std::vector<Finding> findings;
 
-    // Module-DAG violations over resolved include edges.
+    // Module-DAG violations over resolved include edges and module-qualified
+    // names.
     for (const auto& [path, model] : program.files) {
         const std::string from = module_of(path);
         if (from.empty()) continue;  // tools/tests are DAG clients
         const auto allowed_it = config.allowed.find(from);
         const std::set<std::string>* extra = exception_extra(config, path);
-        for (const IncludeRef& inc : model.includes) {
-            const std::string target = resolve_include(program, path, inc.path);
-            if (target.empty()) continue;  // not part of the program
-            const std::string to = module_of(target);
-            if (to.empty() || to == from) continue;
-            const bool ok =
-                (allowed_it != config.allowed.end() &&
+        auto check = [&](const std::string& to, std::size_t line,
+                         const std::string& via) {
+            if (to.empty() || to == from) return;
+            if ((allowed_it != config.allowed.end() &&
                  allowed_it->second.count(to) > 0) ||
-                (extra != nullptr && extra->count(to) > 0);
-            if (ok) continue;
+                (extra != nullptr && extra->count(to) > 0)) {
+                return;
+            }
             Finding f;
             f.pass = kPassLayering;
             f.file = path;
-            f.line = inc.line;
+            f.line = line;
             f.symbol = from + " -> " + to;
             f.message = "module '" + from + "' may not depend on '" + to +
-                        "' (via #include \"" + inc.path + "\")";
+                        "' (via " + via + ")";
             findings.push_back(std::move(f));
+        };
+        for (const IncludeRef& inc : model.includes) {
+            const std::string target = resolve_include(program, path, inc.path);
+            if (target.empty()) continue;  // not part of the program
+            check(module_of(target), inc.line,
+                  "#include \"" + inc.path + "\"");
+        }
+        for (const auto& [ref, line] : model.qualified_refs) {
+            const std::string head = ref.substr(0, ref.find("::"));
+            if (config.allowed.count(head) == 0) continue;  // not a module
+            check(head, line, "'" + ref + "'");
         }
     }
 

@@ -1,13 +1,15 @@
 // Determinism taint: which functions can observe nondeterminism, and does
 // any of them live in (or get called from) protocol-artifact code?
 //
-// Seeds: direct source hits recorded by the parser, plus iteration over a
-// container the program-wide table knows to be unordered. Propagation runs
-// the call graph BACKWARDS to a fixpoint: a caller of a tainted function is
-// tainted. Facts-file `sanitize` globs cut taint at functions whose
-// nondeterminism is justified (seeded RNG wrappers, env-var tuning knobs,
-// the render-only obs layer) — the cut removes both the seed and the
-// propagation through the function.
+// Seeds: direct source hits recorded by the parser (outside the facts
+// file's `determinism` file globs), plus iteration over a container the
+// program-wide table knows to be unordered. Propagation runs the call graph
+// BACKWARDS to a fixpoint: a caller of a tainted function is tainted.
+// Facts-file `sanitize` globs cut taint at functions whose nondeterminism
+// is justified (seeded RNG wrappers, env-var tuning knobs) — the cut
+// removes both the seed and the propagation through the function. The
+// sources themselves are reported at their sites by the per-file
+// `determinism` rule (pass_file.cpp).
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "analyze/passes.hpp"
-#include "lint/lint.hpp"
 
 namespace dlsbl::analyze {
 namespace {
@@ -31,9 +32,10 @@ bool under_any(const std::string& path,
     return false;
 }
 
-bool sanitized(const FunctionDef& fn, const TaintConfig& config) {
-    for (const std::string& glob : config.sanitized) {
-        if (lint::glob_match(glob, fn.qualified)) return true;
+bool matches_any(const std::string& path,
+                 const std::vector<std::string>& globs) {
+    for (const std::string& glob : globs) {
+        if (glob_match(glob, path)) return true;
     }
     return false;
 }
@@ -45,6 +47,10 @@ struct Node {
 };
 
 }  // namespace
+
+bool TaintConfig::sanitizes(const FunctionDef& fn) const {
+    return matches_any(fn.qualified, sanitized);
+}
 
 std::vector<Finding> pass_taint(const Program& program,
                                 const TaintConfig& config) {
@@ -84,9 +90,8 @@ std::vector<Finding> pass_taint(const Program& program,
     std::vector<std::size_t> via(nodes.size(), SIZE_MAX);  // taint provenance
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         Node& n = nodes[i];
-        if (sanitized(*n.fn, config)) continue;
-        const bool exempt =
-            under_any(n.file->path, config.source_exempt_prefixes);
+        if (config.sanitizes(*n.fn)) continue;
+        const bool exempt = matches_any(n.file->path, config.source_exempt);
         if (!exempt && !n.fn->sources.empty()) {
             n.seed = n.fn->sources.front().what;
         }
@@ -110,7 +115,7 @@ std::vector<Finding> pass_taint(const Program& program,
         queue.pop_front();
         for (const std::size_t caller : callers[cur]) {
             if (tainted[caller]) continue;
-            if (sanitized(*nodes[caller].fn, config)) continue;
+            if (config.sanitizes(*nodes[caller].fn)) continue;
             tainted[caller] = true;
             via[caller] = cur;
             queue.push_back(caller);

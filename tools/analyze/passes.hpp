@@ -1,24 +1,42 @@
-// The four interprocedural passes of dlsbl_analyze.
+// The passes of dlsbl_analyze. Finding ids (README "Static analysis" has
+// the full table):
 //
-//   taint-determinism   nondeterminism sources (wall clocks, rand*, getenv,
-//                       pointer hashing, unordered iteration) propagated
-//                       through the call graph into protocol-artifact code
+// Per-file rules over one file's tokens and parsed source hits:
+//   determinism         a direct nondeterminism source (wall clock, rand*,
+//                       getenv, pointer hashing) outside a sanitized
+//                       function, reported at its site
+//   float-equality      ==/!= against a floating-point literal
+//   manual-lock         .lock()/.unlock()/try_lock*() instead of RAII
+//   crypto-alloc        new/delete/malloc-family in src/crypto or the
+//                       protocol core (zero-allocation contract)
+//   protocol-codec      per-message legacy serialize()/deserialize() calls
+//                       in the protocol core (wire:: views instead)
+//   pragma-once, using-namespace-header   header hygiene
+//   mutable-global      non-constexpr namespace-scope variables in src/
+//
+// Interprocedural passes over the linked Program:
+//   taint-determinism   nondeterminism sources (the ones above, plus
+//                       unordered iteration) propagated backwards through
+//                       the call graph into protocol-artifact code
 //   lock-order          RAII acquisition graph over all named mutexes with
 //                       cycle detection (incl. same-class double acquisition)
 //   dispatch-exhaustiveness  every MsgType handled at every dispatcher
 //                       registration site; churn event kinds adjudicated
 //   layering-dag        declared module DAG enforced over the real include
-//                       graph, plus file-level include-cycle detection
-//                       (reported as "include-cycle")
+//                       graph and over module-qualified names (`sim::`),
+//                       plus file-level include-cycle detection (reported
+//                       as "include-cycle")
 //
-// Each pass is a pure function Program -> findings; suppression via the
-// facts file happens in report.cpp so passes stay side-channel-free.
+// Each pass is a pure function Program -> findings; suppression (inline
+// markers and the facts file) happens in report.cpp so passes stay
+// side-channel-free.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyze/model.hpp"
@@ -36,6 +54,14 @@ struct Finding {
     std::vector<std::string> notes;  // e.g. the taint call chain
 };
 
+inline constexpr const char* kRuleDeterminism = "determinism";
+inline constexpr const char* kRuleFloatEquality = "float-equality";
+inline constexpr const char* kRuleManualLock = "manual-lock";
+inline constexpr const char* kRuleCryptoAlloc = "crypto-alloc";
+inline constexpr const char* kRuleProtocolCodec = "protocol-codec";
+inline constexpr const char* kRulePragmaOnce = "pragma-once";
+inline constexpr const char* kRuleUsingNamespace = "using-namespace-header";
+inline constexpr const char* kRuleMutableGlobal = "mutable-global";
 inline constexpr const char* kPassTaint = "taint-determinism";
 inline constexpr const char* kPassLockOrder = "lock-order";
 inline constexpr const char* kPassDispatch = "dispatch-exhaustiveness";
@@ -44,16 +70,23 @@ inline constexpr const char* kPassIncludeCycle = "include-cycle";
 inline constexpr const char* kPassConfig = "config-error";
 inline constexpr const char* kPassIo = "io-error";
 
+// '*' (any run of characters, '/' included) and '?' glob over the whole
+// string; facts-file globs match repo-relative paths and qualified names.
+[[nodiscard]] bool glob_match(std::string_view glob, std::string_view text);
+
 struct TaintConfig {
     // Functions defined in files under these prefixes are sinks: taint
     // reaching them is a finding.
     std::vector<std::string> protected_prefixes;
-    // Files under these prefixes may contain direct sources without being
-    // sources themselves (the render-only observability layer).
-    std::vector<std::string> source_exempt_prefixes;
-    // Qualified-name globs whose taint is cut (justified boundaries from the
-    // facts file); matched with lint::glob_match against fn.qualified.
+    // File globs whose direct sources are justified wholesale (the facts
+    // file's `determinism` entries: the render-only obs layer, bench
+    // timers): they are not taint seeds.
+    std::vector<std::string> source_exempt;
+    // Qualified-name globs whose taint is cut (the facts file's `sanitize`
+    // entries): no source findings, no seeds, no propagation.
     std::vector<std::string> sanitized;
+
+    [[nodiscard]] bool sanitizes(const FunctionDef& fn) const;
 };
 
 struct DispatchSite {
@@ -95,6 +128,8 @@ struct AnalyzeConfig {
 // dispatch sites, the declared module DAG.
 [[nodiscard]] AnalyzeConfig default_config();
 
+[[nodiscard]] std::vector<Finding> pass_file_rules(const Program& program,
+                                                   const TaintConfig& config);
 [[nodiscard]] std::vector<Finding> pass_taint(const Program& program,
                                               const TaintConfig& config);
 [[nodiscard]] std::vector<Finding> pass_lock_order(const Program& program);
@@ -103,11 +138,19 @@ struct AnalyzeConfig {
 [[nodiscard]] std::vector<Finding> pass_layering(const Program& program,
                                                  const LayeringConfig& config);
 
+// The passes in execution order, for per-pass timing.
+struct PassRun {
+    const char* name;
+    std::vector<Finding> (*run)(const Program&, const AnalyzeConfig&);
+};
+[[nodiscard]] const std::vector<PassRun>& pass_runs();
+
 // All passes in fixed order with the given config.
 [[nodiscard]] std::vector<Finding> run_passes(const Program& program,
                                               const AnalyzeConfig& config);
 
-// Pass ids in execution order (CLI --list-passes, per-pass timing).
-[[nodiscard]] std::vector<std::string> all_pass_ids();
+// Every finding id a pass can emit (CLI --list-passes, SARIF rules, facts
+// validation).
+[[nodiscard]] const std::vector<std::string>& all_pass_ids();
 
 }  // namespace dlsbl::analyze

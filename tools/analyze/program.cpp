@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analyze/parser.hpp"
-#include "obs/json.hpp"
 
 namespace dlsbl::analyze {
 namespace {
@@ -35,18 +34,6 @@ std::string to_repo_relative(const fs::path& repo_root, const fs::path& p) {
     return use.generic_string();
 }
 
-bool under_any_root(const std::string& rel,
-                    const std::vector<std::string>& roots) {
-    for (const std::string& root : roots) {
-        if (rel == root) return true;
-        if (rel.size() > root.size() && rel.rfind(root, 0) == 0 &&
-            rel[root.size()] == '/') {
-            return true;
-        }
-    }
-    return roots.empty();
-}
-
 void parse_into(Program* program, std::string rel_path,
                 const std::string& source) {
     FileModel model = parse_file(rel_path, source);
@@ -66,9 +53,11 @@ Program build_program_from_sources(
 
 Program build_program_tree(const std::string& repo_root,
                            const std::vector<std::string>& roots,
-                           std::vector<BuildError>* errors) {
+                           std::vector<BuildError>* errors,
+                           const std::function<bool(const std::string&)>& skip) {
     Program program;
     const fs::path base(repo_root);
+    auto skipped = [&](const std::string& rel) { return skip && skip(rel); };
     for (const std::string& root : roots) {
         const fs::path abs = base / root;
         std::error_code ec;
@@ -84,15 +73,17 @@ Program build_program_tree(const std::string& repo_root,
             }
             std::sort(found.begin(), found.end());
             for (const fs::path& p : found) {
+                const std::string rel = to_repo_relative(base, p);
+                if (skipped(rel)) continue;
                 std::string source;
                 if (!read_file(p, &source)) {
-                    errors->push_back({"io-error", to_repo_relative(base, p),
-                                       "unreadable file"});
+                    errors->push_back({"io-error", rel, "unreadable file"});
                     continue;
                 }
-                parse_into(&program, to_repo_relative(base, p), source);
+                parse_into(&program, rel, source);
             }
         } else if (fs::is_regular_file(abs, ec)) {
+            if (skipped(root)) continue;
             std::string source;
             if (!read_file(abs, &source)) {
                 errors->push_back({"io-error", root, "unreadable file"});
@@ -125,7 +116,7 @@ Program build_program_tree(const std::string& repo_root,
         std::sort(to_add.begin(), to_add.end());
         to_add.erase(std::unique(to_add.begin(), to_add.end()), to_add.end());
         for (const std::string& rel : to_add) {
-            if (program.files.count(rel) > 0) continue;
+            if (program.files.count(rel) > 0 || skipped(rel)) continue;
             std::string source;
             if (!read_file(base / rel, &source)) continue;
             parse_into(&program, rel, source);
@@ -133,49 +124,6 @@ Program build_program_tree(const std::string& repo_root,
         }
     }
     return program;
-}
-
-bool compile_db_files(const std::string& repo_root, const std::string& db_path,
-                      const std::vector<std::string>& roots,
-                      std::vector<std::string>* files, std::string* error) {
-    std::string text;
-    if (!read_file(fs::path(db_path), &text)) {
-        *error = "cannot read compile database: " + db_path;
-        return false;
-    }
-    const std::optional<obs::JsonValue> doc = obs::json_parse(text);
-    if (!doc.has_value() || doc->kind != obs::JsonValue::Kind::kArray) {
-        *error = "compile database is not a JSON array: " + db_path;
-        return false;
-    }
-    const fs::path base = fs::absolute(fs::path(repo_root));
-    for (const obs::JsonValue& entry : doc->array) {
-        if (entry.kind != obs::JsonValue::Kind::kObject) {
-            *error = "compile database entry is not an object";
-            return false;
-        }
-        const obs::JsonValue* file = entry.find("file");
-        if (file == nullptr || file->kind != obs::JsonValue::Kind::kString) {
-            *error = "compile database entry has no \"file\" string";
-            return false;
-        }
-        fs::path p(file->string);
-        if (p.is_relative()) {
-            const obs::JsonValue* dir = entry.find("directory");
-            if (dir != nullptr &&
-                dir->kind == obs::JsonValue::Kind::kString) {
-                p = fs::path(dir->string) / p;
-            }
-        }
-        const std::string rel =
-            to_repo_relative(base, p.lexically_normal());
-        if (rel.rfind("..", 0) == 0) continue;  // outside the repo
-        if (!under_any_root(rel, roots)) continue;
-        files->push_back(rel);
-    }
-    std::sort(files->begin(), files->end());
-    files->erase(std::unique(files->begin(), files->end()), files->end());
-    return true;
 }
 
 std::string resolve_include(const Program& program, const std::string& includer,

@@ -1,12 +1,8 @@
 // Program construction and cross-TU linking for dlsbl_analyze.
 //
-// Two front ends produce the same Program:
-//   * tree mode — walk directories under the repo root and parse every
-//     .hpp/.cpp found (the default for `dlsbl_analyze src`);
-//   * compile-db mode — read build/compile_commands.json (written by
-//     CMAKE_EXPORT_COMPILE_COMMANDS), keep entries under the requested
-//     roots, and close the set over quoted includes so headers that never
-//     appear as TUs still join the program.
+// The tree walk parses every .hpp/.cpp under the requested roots (platform-
+// conditional sources included) and closes the set over quoted includes,
+// so headers outside the roots still join the program.
 //
 // CallIndex is the linker: it joins CallSites to FunctionDefs by qualified
 // suffix / member name / simple name, deliberately over-approximating —
@@ -14,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,8 +19,8 @@
 
 namespace dlsbl::analyze {
 
-// One pass-independent problem found while building the program (unreadable
-// file, malformed compile db). `pass` is "io-error" or "config-error".
+// One pass-independent problem found while building the program (an
+// unreadable or missing path). `pass` is "io-error".
 struct BuildError {
     std::string pass;
     std::string file;
@@ -35,19 +32,12 @@ struct BuildError {
     const std::vector<std::pair<std::string, std::string>>& path_to_source);
 
 // Walks `roots` (repo-relative files or directories) under `repo_root` and
-// parses every C++ source/header. Unreadable paths append to `errors`.
-[[nodiscard]] Program build_program_tree(const std::string& repo_root,
-                                         const std::vector<std::string>& roots,
-                                         std::vector<BuildError>* errors);
-
-// Reads a compile_commands.json and returns the repo-relative TU paths that
-// live under one of `roots`. Returns false (with *error set) when the db is
-// unreadable or not the JSON shape CMake emits.
-[[nodiscard]] bool compile_db_files(const std::string& repo_root,
-                                    const std::string& db_path,
-                                    const std::vector<std::string>& roots,
-                                    std::vector<std::string>* files,
-                                    std::string* error);
+// parses every C++ source/header for which `skip` (when set) is false.
+// Unreadable paths append to `errors`.
+[[nodiscard]] Program build_program_tree(
+    const std::string& repo_root, const std::vector<std::string>& roots,
+    std::vector<BuildError>* errors,
+    const std::function<bool(const std::string&)>& skip = {});
 
 // Resolves a quoted include as written to a path present in `known` paths:
 // tries project-root-relative ("src/" prefix layout), then relative to the
