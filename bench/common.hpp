@@ -187,7 +187,7 @@ inline exec::ExecutorOptions parallel_options(int argc, char** argv,
     exec::ExecutorOptions options;
     options.jobs = 1;
     // Explicit operator knob for worker count; artifacts are byte-identical
-    // at any value, so this cannot break replay. DLSBL_LINT_ALLOW(determinism)
+    // at any value, so this cannot break replay.
     if (const char* env = std::getenv("DLSBL_JOBS"); env != nullptr && *env != '\0') {
         options.jobs = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
     }

@@ -66,7 +66,7 @@ Digest leaf_seed_prf(const HmacSha256& prf, OtsScheme scheme, std::size_t index)
 std::size_t resolve_keygen_jobs(std::size_t keygen_jobs) {
     if (keygen_jobs != 0) return keygen_jobs;
     // Keygen-parallelism knob; keys are byte-identical at any job count
-    // (test_crypto_batch MSS identity). DLSBL_LINT_ALLOW(determinism)
+    // (test_crypto_batch MSS identity; see dlsbl_analyze.facts).
     if (const char* env = std::getenv("DLSBL_CRYPTO_JOBS")) {
         const long parsed = std::strtol(env, nullptr, 10);
         if (parsed > 0) return static_cast<std::size_t>(parsed);

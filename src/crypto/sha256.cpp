@@ -62,7 +62,7 @@ const Sha256Backend& pick_auto_backend() noexcept {
 
 const Sha256Backend& initial_backend() noexcept {
     // Backend override knob; every backend computes identical digests
-    // (test_sha256_kat), so replay is unaffected. DLSBL_LINT_ALLOW(determinism)
+    // (test_sha256_kat), so replay is unaffected (see dlsbl_analyze.facts).
     if (const char* env = std::getenv("DLSBL_SHA256_IMPL")) {
         if (const Sha256Backend* b = backend_by_name(env)) return *b;
     }

@@ -65,7 +65,7 @@ std::size_t RunExecutor::jobs_from_args(int argc, char** argv, std::size_t fallb
         }
     }
     // Explicit operator knob for worker count; artifacts are byte-identical
-    // at any value, so this cannot break replay. DLSBL_LINT_ALLOW(determinism)
+    // at any value, so this cannot break replay (see dlsbl_analyze.facts).
     if (const char* env = std::getenv("DLSBL_JOBS"); env != nullptr && *env != '\0') {
         return static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
     }

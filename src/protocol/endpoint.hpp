@@ -17,7 +17,7 @@
 //
 // The driver (src/protocol/drivers/) owns the other side: the sim adapter
 // wraps the cores back into the discrete-event runner. Core files must not
-// name sim:: — dlsbl_lint rule `layering` gates on it.
+// name sim:: — dlsbl_analyze pass `layering-dag` gates on it.
 #pragma once
 
 #include <cstdint>

@@ -60,7 +60,6 @@ class Lexer {
     explicit Lexer(std::string_view source) : src_(source) {}
 
     LexedFile run() {
-        split_lines();
         while (pos_ < src_.size()) {
             const char c = src_[pos_];
             if (c == '\n') {
@@ -106,16 +105,6 @@ class Lexer {
 
     void advance_n(std::size_t n) {
         for (std::size_t i = 0; i < n && pos_ < src_.size(); ++i) advance();
-    }
-
-    void split_lines() {
-        std::size_t start = 0;
-        for (std::size_t i = 0; i <= src_.size(); ++i) {
-            if (i == src_.size() || src_[i] == '\n') {
-                out_.lines.emplace_back(src_.substr(start, i - start));
-                start = i + 1;
-            }
-        }
     }
 
     void emit(TokenKind kind, std::string text, std::size_t line, std::size_t col) {
