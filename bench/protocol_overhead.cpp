@@ -84,9 +84,10 @@ double crypto_wall_seconds(std::string_view backend, std::size_t jobs,
 
 // Message-path throughput, isolated from keygen and load movement: the
 // referee's per-envelope pipeline over 64 distinct WOTS-signed bid
-// envelopes. batch 0 replays the pre-batching path (legacy
-// SignedMessage::deserialize + eager Pki::verify + legacy body decode);
-// batch >= 1 is the current one (zero-copy SignedMessageView/BidView +
+// envelopes. batch 0 replays the live eager path (verify_batch <= 1, as in
+// NodeCore::handle_bid: SignedMessageView::parse, an owned envelope copy,
+// eager Pki::verify, then BidView::parse of the owned payload); batch >= 1
+// is the deferred one (zero-copy SignedMessageView/BidView +
 // Pki::verify_many in `batch`-sized slices). The cache is off — a live
 // run's envelopes are distinct, so steady state is all misses.
 double message_path_rate(std::size_t batch, std::size_t trials) {
@@ -119,10 +120,12 @@ double message_path_rate(std::size_t batch, std::size_t trials) {
         const auto start = std::chrono::steady_clock::now();
         if (batch == 0) {
             for (const auto& bytes : envelopes) {
-                const auto msg = crypto::SignedMessage::deserialize(bytes);
-                if (msg && msg->verify(pki)) {
-                    const auto body = protocol::BidBody::deserialize(msg->payload);
-                    if (body) ++verified;
+                const auto view = protocol::wire::SignedMessageView::parse(bytes);
+                if (!view) continue;
+                const crypto::SignedMessage envelope = view->to_owned();
+                if (view->verify(pki) &&
+                    protocol::wire::BidView::parse(envelope.payload).has_value()) {
+                    ++verified;
                 }
             }
         } else {
@@ -213,34 +216,34 @@ int main(int argc, char** argv) {
     if (smoke) {
         report.section("message-path throughput (envelopes per host second)");
         const std::size_t path_trials = 10;
-        const double path_legacy = message_path_rate(0, path_trials);
+        const double path_eager = message_path_rate(0, path_trials);
         const double path_b16 = message_path_rate(16, path_trials);
         const double path_b64 = message_path_rate(64, path_trials);
-        report.line(bench::fmt("legacy codec + eager verify : %.0f msg/s", path_legacy));
+        report.line(bench::fmt("flat codec + eager verify   : %.0f msg/s", path_eager));
         report.line(bench::fmt2(
             "flat codec + batch 16       : %.0f msg/s  (speedup %.2fx)", path_b16,
-            path_b16 / path_legacy));
+            path_b16 / path_eager));
         report.line(bench::fmt2(
             "flat codec + batch 64       : %.0f msg/s  (speedup %.2fx)", path_b64,
-            path_b64 / path_legacy));
+            path_b64 / path_eager));
         report.section("verdicts");
-        report.verdict(path_b16 >= 1.5 * path_legacy,
+        report.verdict(path_b16 >= 1.5 * path_eager,
                        "flat codec + deferred batch verification moves >=1.5x more "
-                       "envelopes per second than the legacy eager path");
+                       "envelopes per second than the eager path");
         if (json_out) {
             obs::RunManifest manifest;
             manifest.set("bench", "protocol_overhead (message-path smoke)");
             manifest.set("sha256_backend_auto", std::string(crypto::sha256_backend()));
             const std::vector<bench::JsonResult> results{
-                {"message_path/legacy_eager", path_trials, 64.0 / path_legacy, 0.0},
+                {"message_path/legacy_eager", path_trials, 64.0 / path_eager, 0.0},
                 {"message_path/flat_batch16", path_trials, 64.0 / path_b16, 0.0},
                 {"message_path/flat_batch64", path_trials, 64.0 / path_b64, 0.0},
             };
             const std::map<std::string, double> derived{
-                {"messages_per_sec_legacy_eager", path_legacy},
+                {"messages_per_sec_legacy_eager", path_eager},
                 {"messages_per_sec_batch16", path_b16},
                 {"messages_per_sec_batch64", path_b64},
-                {"message_path_speedup_batch16", path_b16 / path_legacy},
+                {"message_path_speedup_batch16", path_b16 / path_eager},
             };
             if (!bench::write_bench_json(*json_out, manifest, results, derived)) return 1;
         }
@@ -318,14 +321,14 @@ int main(int argc, char** argv) {
     // is pure amortization of WOTS chain expansion across envelopes.
     report.section("message-path throughput (envelopes per host second)");
     const std::size_t path_trials = 40;
-    const double path_legacy = message_path_rate(0, path_trials);
+    const double path_eager = message_path_rate(0, path_trials);
     const double path_b16 = message_path_rate(16, path_trials);
     const double path_b64 = message_path_rate(64, path_trials);
-    report.line(bench::fmt("legacy codec + eager verify : %.0f msg/s", path_legacy));
+    report.line(bench::fmt("flat codec + eager verify   : %.0f msg/s", path_eager));
     report.line(bench::fmt2("flat codec + batch 16       : %.0f msg/s  (speedup %.2fx)",
-                            path_b16, path_b16 / path_legacy));
+                            path_b16, path_b16 / path_eager));
     report.line(bench::fmt2("flat codec + batch 64       : %.0f msg/s  (speedup %.2fx)",
-                            path_b64, path_b64 / path_legacy));
+                            path_b64, path_b64 / path_eager));
 
     const Throughput eager = message_throughput(1, trials);
     const Throughput batch16 = message_throughput(16, trials);
@@ -341,9 +344,9 @@ int main(int argc, char** argv) {
     report.verdict(fit.slope > 1.0 && big_fleet > 0.2,
                    "overhead grows superlinearly and becomes material (>20%) at m=64, "
                    "1e-5 s/B — the Θ(m²) traffic made visible");
-    report.verdict(path_b16 >= 1.5 * path_legacy,
+    report.verdict(path_b16 >= 1.5 * path_eager,
                    "flat codec + deferred batch verification moves >=1.5x more "
-                   "envelopes per second than the legacy eager path");
+                   "envelopes per second than the eager path");
 
     if (json_out) {
         obs::RunManifest manifest;
@@ -354,7 +357,7 @@ int main(int argc, char** argv) {
             {"protocol_run/scalar_j1", trials, t_scalar, 0.0},
             {"protocol_run/auto_j1", trials, t_simd, 0.0},
             {"protocol_run/auto_j" + std::to_string(hw), trials, t_simd_jobs, 0.0},
-            {"message_path/legacy_eager", path_trials, 64.0 / path_legacy, 0.0},
+            {"message_path/legacy_eager", path_trials, 64.0 / path_eager, 0.0},
             {"message_path/flat_batch16", path_trials, 64.0 / path_b16, 0.0},
             {"message_path/flat_batch64", path_trials, 64.0 / path_b64, 0.0},
         };
@@ -362,10 +365,10 @@ int main(int argc, char** argv) {
             {"protocol_crypto_speedup_auto_j1", t_scalar / t_simd},
             {"protocol_crypto_speedup_auto_jhw", t_scalar / t_simd_jobs},
             {"overhead_power_law_slope", fit.slope},
-            {"messages_per_sec_legacy_eager", path_legacy},
+            {"messages_per_sec_legacy_eager", path_eager},
             {"messages_per_sec_batch16", path_b16},
             {"messages_per_sec_batch64", path_b64},
-            {"message_path_speedup_batch16", path_b16 / path_legacy},
+            {"message_path_speedup_batch16", path_b16 / path_eager},
             {"e2e_run_speedup_batch16", eager.seconds / batch16.seconds},
         };
         if (!bench::write_bench_json(*json_out, manifest, results, derived)) return 1;

@@ -299,28 +299,6 @@ std::unique_ptr<Signer> make_registered_signer(Pki& pki, const Identity& id,
     return signer;
 }
 
-util::Bytes SignedMessage::serialize() const {
-    util::ByteWriter w;
-    w.str(signer);
-    w.bytes(payload);
-    w.bytes(signature);
-    return w.take();
-}
-
-std::optional<SignedMessage> SignedMessage::deserialize(std::span<const std::uint8_t> data) {
-    try {
-        util::ByteReader r(data);
-        SignedMessage msg;
-        msg.signer = r.str();
-        msg.payload = r.bytes();
-        msg.signature = r.bytes();
-        if (!r.exhausted()) return std::nullopt;
-        return msg;
-    } catch (const std::out_of_range&) {
-        return std::nullopt;
-    }
-}
-
 SignedMessage sign_message(Signer& signer, const Identity& id, util::Bytes payload) {
     SignedMessage msg;
     msg.signer = id;

@@ -147,9 +147,6 @@ struct SignedMessage {
     [[nodiscard]] bool verify(const Pki& pki) const {
         return pki.is_registered(signer) && pki.verify(signer, payload, signature);
     }
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<SignedMessage> deserialize(std::span<const std::uint8_t> data);
 };
 
 SignedMessage sign_message(Signer& signer, const Identity& id, util::Bytes payload);

@@ -29,29 +29,6 @@ std::vector<crypto::Digest> build_leaves(std::uint64_t job_id, std::size_t block
 
 }  // namespace
 
-util::Bytes Block::serialize() const {
-    util::ByteWriter w;
-    w.u64(id);
-    w.raw(std::span<const std::uint8_t>(payload_digest.data(), payload_digest.size()));
-    w.bytes(proof.serialize());
-    return w.take();
-}
-
-std::optional<Block> Block::deserialize(std::span<const std::uint8_t> data) {
-    try {
-        util::ByteReader r(data);
-        Block block;
-        block.id = r.u64();
-        for (auto& b : block.payload_digest) b = r.u8();
-        const auto proof = crypto::MerkleProof::deserialize(r.bytes());
-        if (!proof || !r.exhausted()) return std::nullopt;
-        block.proof = *proof;
-        return block;
-    } catch (const std::out_of_range&) {
-        return std::nullopt;
-    }
-}
-
 DataSet::DataSet(std::uint64_t job_id, std::size_t block_count)
     : job_id_(job_id), digests_(build_leaves(job_id, block_count)), tree_(digests_) {}
 

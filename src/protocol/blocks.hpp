@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "crypto/merkle.hpp"
@@ -26,9 +25,6 @@ struct Block {
     std::uint64_t id = 0;
     crypto::Digest payload_digest{};  // stands in for the actual data bytes
     crypto::MerkleProof proof;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<Block> deserialize(std::span<const std::uint8_t> data);
 };
 
 class DataSet {

@@ -1,20 +1,19 @@
 // Wire messages of the DLS-BL-NCP protocol (§4).
 //
-// Every body type has a canonical byte encoding (util::ByteWriter) — the
-// exact bytes that get signed — and a tolerant parser that returns nullopt
-// on malformed input (malformed messages are discarded per §4 Bidding:
-// "If the message fails verification, it is discarded").
+// The body structs are plain data. Their byte encoding — the exact bytes
+// that get signed — is defined once, in protocol/wire.hpp: wire::flat_encode
+// writes a body, and the matching wire::*View::parse reads one, returning
+// nullopt on malformed input (malformed messages are discarded per §4
+// Bidding: "If the message fails verification, it is discarded").
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/pki.hpp"
 #include "protocol/blocks.hpp"
-#include "util/bytes.hpp"
 
 namespace dlsbl::protocol {
 
@@ -51,18 +50,12 @@ struct BidBody {
     std::uint64_t job_id = 0;
     std::string processor;
     double bid = 0.0;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<BidBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 // A batch of blocks moving over the bus.
 struct LoadBatch {
     std::string origin;
     std::vector<Block> blocks;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<LoadBatch> deserialize(std::span<const std::uint8_t> data);
 };
 
 // Evidence of offense (i): two authenticated, different bid messages from
@@ -71,9 +64,6 @@ struct DoubleBidEvidence {
     std::string accused;
     crypto::SignedMessage first;
     crypto::SignedMessage second;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<DoubleBidEvidence> deserialize(std::span<const std::uint8_t> data);
 };
 
 enum class AllocComplaintKind : std::uint8_t {
@@ -89,34 +79,22 @@ struct AllocComplaintBody {
     std::uint64_t received_blocks = 0;
     // For kOverShipped / kBadIntegrity: everything the complainant holds.
     std::vector<Block> held_blocks;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<AllocComplaintBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 // The full vector of signed bids a node holds, sent on referee request.
 struct BidVectorBody {
     std::string submitter;
     std::vector<crypto::SignedMessage> bids;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<BidVectorBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 struct MediateRequestBody {
     std::string beneficiary;              // the under-supplied processor
     std::vector<std::uint64_t> block_ids; // what the referee expects
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<MediateRequestBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 struct MeterVectorBody {
     std::uint64_t job_id = 0;
     std::vector<std::pair<std::string, double>> phis;  // processor -> φ
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<MeterVectorBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 // (P_i, Q): the signed content of a payment-vector submission.
@@ -124,17 +102,11 @@ struct PaymentBody {
     std::uint64_t job_id = 0;
     std::string processor;
     std::vector<double> payments;  // Q_1..Q_m in processor-index order
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<PaymentBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 struct TerminateBody {
     std::string reason;
     std::vector<std::string> fined;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<TerminateBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 // Processors whose bids were still missing at the churn bid deadline; the
@@ -142,9 +114,6 @@ struct TerminateBody {
 struct ExcludeBody {
     std::uint64_t job_id = 0;
     std::vector<std::string> excluded;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<ExcludeBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 // A dead processor's undone blocks, reassigned over the survivors via the
@@ -156,9 +125,6 @@ struct ReallocBody {
     std::string dead;
     std::uint64_t dead_final = 0;
     std::vector<std::pair<std::string, std::uint64_t>> extras;
-
-    [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<ReallocBody> deserialize(std::span<const std::uint8_t> data);
 };
 
 }  // namespace dlsbl::protocol

@@ -144,14 +144,12 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
 void RefereeCore::handle_alloc_complaint(const WireMessage& message) {
     flush_deferred();  // dispute handling emits observable requests
     if (verdict_issued_ || stage_ != DisputeStage::kNone) return;
-    // Cold dispute path: the complaint's held blocks must outlive this
-    // frame (stored in open_complaint_), so the owning legacy decode is
-    // the right tool here.  DLSBL_LINT_ALLOW(protocol-codec)
-    auto complaint = AllocComplaintBody::deserialize(message.payload);
+    const auto complaint = wire::AllocComplaintView::parse(message.payload);
     if (!complaint || complaint->complainant != message.from) return;
     if (message.from == ctx_.load_origin()) return;  // the LO cannot complain about itself
 
-    open_complaint_ = std::move(*complaint);
+    // The held blocks outlive this frame, so the open dispute owns a copy.
+    open_complaint_ = complaint->to_owned();
     stage_ = DisputeStage::kAllocAwaitingBidVectors;
     count_dispute_opened("allocation");
     bid_vector_responses_.clear();
@@ -168,12 +166,11 @@ void RefereeCore::handle_bid_vector_response(const WireMessage& message) {
         stage_ != DisputeStage::kPaymentAwaitingBidVectors) {
         return;
     }
-    // Cold dispute path: responses are stored whole until both arrive, so
-    // the owning legacy decode applies.  DLSBL_LINT_ALLOW(protocol-codec)
-    auto body = BidVectorBody::deserialize(message.payload);
+    const auto body = wire::BidVectorView::parse(message.payload);
     if (!body || body->submitter != message.from) return;
     if (!bid_vector_expected_.contains(message.from)) return;
-    bid_vector_responses_[message.from] = std::move(*body);
+    // Responses are held whole until every requested vector has arrived.
+    bid_vector_responses_[message.from] = body->to_owned();
     if (bid_vector_responses_.size() != bid_vector_expected_.size()) return;
 
     const std::set<std::string> deviants = validate_bid_vectors();

@@ -628,23 +628,6 @@ TEST(LintRules, CryptoAllocFixture) {
               0u);
 }
 
-TEST(LintRules, ProtocolCodecFixture) {
-    const std::string source = read_fixture("bad_protocol_codec.cpp");
-    EXPECT_EQ(count_id(analyze_at("src/protocol/fixture.cpp", source),
-                       analyze::kRuleProtocolCodec),
-              3u)
-        << "body.serialize, msg->serialize, BidBody::deserialize";
-    // Drivers adapt the core to real transports and may re-frame bytes.
-    EXPECT_EQ(count_id(analyze_at("src/protocol/drivers/fixture.cpp", source),
-                       analyze::kRuleProtocolCodec),
-              0u);
-    // Outside src/protocol the rule does not apply (crypto has its own
-    // envelope codec; tests/bench exercise both codecs on purpose).
-    EXPECT_EQ(count_id(analyze_at("src/crypto/fixture.cpp", source),
-                       analyze::kRuleProtocolCodec),
-              0u);
-}
-
 TEST(LintRules, ProtocolCoreAllocFixture) {
     // The zero-allocation contract covers the protocol core too.
     const std::string source = read_fixture("bad_crypto_alloc.cpp");

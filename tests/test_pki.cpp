@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/wire.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl::crypto {
@@ -60,10 +61,12 @@ TEST_P(PkiTest, SerializationRoundTrip) {
     Pki pki;
     auto signer = make_registered_signer(pki, "P7", 9, GetParam(), 2);
     const SignedMessage msg = sign_message(*signer, "P7", util::to_bytes("payload"));
-    const auto parsed = SignedMessage::deserialize(msg.serialize());
+    const util::Bytes encoded = protocol::wire::flat_encode(msg);
+    const auto parsed = protocol::wire::SignedMessageView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->signer, "P7");
     EXPECT_TRUE(parsed->verify(pki));
+    EXPECT_EQ(parsed->to_owned().payload, msg.payload);
 }
 
 TEST(Pki, DuplicateRegistrationThrows) {
@@ -107,9 +110,10 @@ TEST(Pki, CrossAlgorithmSignatureRejected) {
 TEST(Pki, DeserializeRejectsTruncated) {
     Pki pki;
     auto signer = make_registered_signer(pki, "P1", 1, SignatureAlgorithm::kFast);
-    util::Bytes wire = sign_message(*signer, "P1", util::to_bytes("m")).serialize();
-    wire.pop_back();
-    EXPECT_FALSE(SignedMessage::deserialize(wire).has_value());
+    util::Bytes bytes =
+        protocol::wire::flat_encode(sign_message(*signer, "P1", util::to_bytes("m")));
+    bytes.pop_back();
+    EXPECT_FALSE(protocol::wire::SignedMessageView::parse(bytes).has_value());
 }
 
 }  // namespace

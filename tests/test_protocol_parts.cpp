@@ -1,11 +1,12 @@
 // Unit tests for the protocol's building blocks: data blocks, the ledger,
-// the meter bank, and the wire-message codecs.
+// the meter bank, and the wire-message codec.
 #include <gtest/gtest.h>
 
 #include "protocol/blocks.hpp"
 #include "protocol/ledger.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/meter.hpp"
+#include "protocol/wire.hpp"
 
 namespace dlsbl::protocol {
 namespace {
@@ -41,10 +42,11 @@ TEST(Blocks, DifferentJobsDifferentRoots) {
 TEST(Blocks, BlockSerializationRoundTrip) {
     DataSet data(7, 9);
     const Block block = data.block(5);
-    const auto parsed = Block::deserialize(block.serialize());
+    const util::Bytes encoded = wire::flat_encode(block);
+    const auto parsed = wire::BlockView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->id, 5u);
-    EXPECT_TRUE(DataSet::verify_block(data.root(), *parsed));
+    EXPECT_TRUE(DataSet::verify_block(data.root(), parsed->to_owned()));
 }
 
 TEST(Blocks, OutOfRangeThrows) {
@@ -130,7 +132,8 @@ TEST(Meter, MisuseThrows) {
 
 TEST(Messages, BidBodyRoundTrip) {
     BidBody body{7, "P3", 1.25};
-    const auto parsed = BidBody::deserialize(body.serialize());
+    const util::Bytes encoded = wire::flat_encode(body);
+    const auto parsed = wire::BidView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->job_id, 7u);
     EXPECT_EQ(parsed->processor, "P3");
@@ -138,15 +141,15 @@ TEST(Messages, BidBodyRoundTrip) {
 }
 
 TEST(Messages, BidBodyRejectsGarbage) {
-    EXPECT_FALSE(BidBody::deserialize(util::to_bytes("nonsense")).has_value());
-    EXPECT_FALSE(BidBody::deserialize({}).has_value());
+    EXPECT_FALSE(wire::BidView::parse(util::to_bytes("nonsense")).has_value());
+    EXPECT_FALSE(wire::BidView::parse({}).has_value());
     // Wrong magic string.
     util::ByteWriter w;
     w.str("notbid");
     w.u64(1);
     w.str("P1");
     w.f64(1.0);
-    EXPECT_FALSE(BidBody::deserialize(w.data()).has_value());
+    EXPECT_FALSE(wire::BidView::parse(w.data()).has_value());
 }
 
 TEST(Messages, PaymentBodyRoundTrip) {
@@ -154,20 +157,30 @@ TEST(Messages, PaymentBodyRoundTrip) {
     body.job_id = 3;
     body.processor = "P2";
     body.payments = {0.5, -0.25, 1.75};
-    const auto parsed = PaymentBody::deserialize(body.serialize());
+    const util::Bytes encoded = wire::flat_encode(body);
+    const auto parsed = wire::PaymentView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->payments, body.payments);
+    EXPECT_EQ(parsed->job_id, 3u);
+    EXPECT_EQ(parsed->processor, "P2");
+    std::vector<double> payments;
+    wire::Cursor c = parsed->payments;
+    for (std::uint64_t i = 0; i < parsed->payment_count; ++i) payments.push_back(c.f64());
+    EXPECT_EQ(payments, body.payments);
 }
 
 TEST(Messages, MeterVectorRoundTrip) {
     MeterVectorBody body;
     body.job_id = 9;
     body.phis = {{"P1", 0.5}, {"P2", 0.75}};
-    const auto parsed = MeterVectorBody::deserialize(body.serialize());
+    const util::Bytes encoded = wire::flat_encode(body);
+    const auto parsed = wire::MeterVectorView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->phis.size(), 2u);
-    EXPECT_EQ(parsed->phis[1].first, "P2");
-    EXPECT_DOUBLE_EQ(parsed->phis[1].second, 0.75);
+    ASSERT_EQ(parsed->phi_count, 2u);
+    wire::Cursor c = parsed->phis;
+    EXPECT_EQ(c.str(), "P1");
+    EXPECT_DOUBLE_EQ(c.f64(), 0.5);
+    EXPECT_EQ(c.str(), "P2");
+    EXPECT_DOUBLE_EQ(c.f64(), 0.75);
 }
 
 TEST(Messages, AllocComplaintRoundTrip) {
@@ -178,42 +191,53 @@ TEST(Messages, AllocComplaintRoundTrip) {
     body.expected_blocks = 2;
     body.received_blocks = 4;
     body.held_blocks = {data.block(0), data.block(1)};
-    const auto parsed = AllocComplaintBody::deserialize(body.serialize());
+    const util::Bytes encoded = wire::flat_encode(body);
+    const auto parsed = wire::AllocComplaintView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->kind, AllocComplaintKind::kOverShipped);
-    EXPECT_EQ(parsed->held_blocks.size(), 2u);
-    EXPECT_TRUE(DataSet::verify_block(data.root(), parsed->held_blocks[1]));
+    const AllocComplaintBody owned = parsed->to_owned();
+    EXPECT_EQ(owned.kind, AllocComplaintKind::kOverShipped);
+    EXPECT_EQ(owned.complainant, "P4");
+    EXPECT_EQ(owned.expected_blocks, 2u);
+    EXPECT_EQ(owned.received_blocks, 4u);
+    ASSERT_EQ(owned.held_blocks.size(), 2u);
+    EXPECT_TRUE(DataSet::verify_block(data.root(), owned.held_blocks[1]));
 }
 
 TEST(Messages, AllocComplaintRejectsBadKind) {
     AllocComplaintBody body;
     body.kind = AllocComplaintKind::kShortShipped;
     body.complainant = "P1";
-    auto wire = body.serialize();
-    wire[wire.size() - wire.size()] = 0;  // clobber the kind byte (first byte)
-    EXPECT_FALSE(AllocComplaintBody::deserialize(wire).has_value());
+    auto bytes = wire::flat_encode(body);
+    bytes[0] = 0;  // clobber the kind byte
+    EXPECT_FALSE(wire::AllocComplaintView::parse(bytes).has_value());
+    bytes[0] = 4;  // one past the last kind
+    EXPECT_FALSE(wire::AllocComplaintView::parse(bytes).has_value());
 }
 
 TEST(Messages, TerminateBodyRoundTrip) {
     TerminateBody body{"double-bid", {"P2", "P5"}};
-    const auto parsed = TerminateBody::deserialize(body.serialize());
+    const util::Bytes encoded = wire::flat_encode(body);
+    const auto parsed = wire::TerminateView::parse(encoded);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->reason, "double-bid");
-    EXPECT_EQ(parsed->fined, (std::vector<std::string>{"P2", "P5"}));
+    ASSERT_EQ(parsed->fined_count, 2u);
+    wire::Cursor c = parsed->fined;
+    EXPECT_EQ(c.str(), "P2");
+    EXPECT_EQ(c.str(), "P5");
 }
 
 TEST(Messages, TruncationRejectedEverywhere) {
     BidBody bid{1, "P1", 2.0};
-    auto wire = bid.serialize();
-    wire.pop_back();
-    EXPECT_FALSE(BidBody::deserialize(wire).has_value());
+    auto bytes = wire::flat_encode(bid);
+    bytes.pop_back();
+    EXPECT_FALSE(wire::BidView::parse(bytes).has_value());
 
     PaymentBody pay;
     pay.processor = "P1";
     pay.payments = {1.0, 2.0};
-    auto pwire = pay.serialize();
-    pwire.resize(pwire.size() - 3);
-    EXPECT_FALSE(PaymentBody::deserialize(pwire).has_value());
+    auto pbytes = wire::flat_encode(pay);
+    pbytes.resize(pbytes.size() - 3);
+    EXPECT_FALSE(wire::PaymentView::parse(pbytes).has_value());
 }
 
 }  // namespace

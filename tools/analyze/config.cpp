@@ -103,11 +103,10 @@ std::vector<Finding> run_passes(const Program& program,
 
 const std::vector<std::string>& all_pass_ids() {
     static const std::vector<std::string> kIds = {
-        kRuleDeterminism,    kRuleFloatEquality, kRuleManualLock,
-        kRuleCryptoAlloc,    kRuleProtocolCodec, kRulePragmaOnce,
-        kRuleUsingNamespace, kRuleMutableGlobal, kPassTaint,
-        kPassLockOrder,      kPassDispatch,      kPassLayering,
-        kPassIncludeCycle,
+        kRuleDeterminism,   kRuleFloatEquality,  kRuleManualLock,
+        kRuleCryptoAlloc,   kRulePragmaOnce,     kRuleUsingNamespace,
+        kRuleMutableGlobal, kPassTaint,          kPassLockOrder,
+        kPassDispatch,      kPassLayering,       kPassIncludeCycle,
     };
     return kIds;
 }

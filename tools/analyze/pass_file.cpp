@@ -13,9 +13,7 @@
 //                     either a bug or needs an explicit justification
 //   L locking/alloc   mutexes via lock_guard/scoped_lock RAII only;
 //                     src/crypto and the protocol core never call
-//                     new/delete/malloc (the batch API contract), and the
-//                     protocol core's message paths use the zero-copy
-//                     wire:: views instead of the per-message legacy codec
+//                     new/delete/malloc (the batch API contract)
 //   H hygiene         #pragma once in every header, no `using namespace`
 //                     at namespace scope in headers, no non-constexpr
 //                     mutable globals in src/
@@ -42,7 +40,7 @@ struct Scope {
     bool is_header = false;      // .hpp / .h
     bool in_crypto = false;      // src/crypto/ (alloc rule)
     bool in_src = false;         // src/ (mutable-global rule)
-    // src/protocol/ minus drivers/ and detail/ (alloc and codec rules).
+    // src/protocol/ minus drivers/ and detail/ (alloc rule).
     bool in_protocol_core = false;
 };
 
@@ -148,17 +146,6 @@ class FileRules {
                        "manual '" + t.text +
                            "()' call (hold mutexes via std::lock_guard / "
                            "std::scoped_lock so every exit path unlocks)");
-            }
-            if (scope_.in_protocol_core &&
-                (t.text == "serialize" || t.text == "deserialize") &&
-                (member || is_punct(before, "::")) && called) {
-                // Blind spot: this also fires on the out-of-line
-                // definitions `Body::serialize(...)` inside the legacy
-                // codec implementation files; the facts file exempts those.
-                report(t, kRuleProtocolCodec,
-                       "per-message legacy codec call in the protocol core "
-                       "(message paths use the zero-copy wire:: views / "
-                       "flat_encode; justify cold-path use inline)");
             }
             if (!scope_.in_crypto && !scope_.in_protocol_core) continue;
             const char* where =

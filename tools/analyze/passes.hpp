@@ -9,8 +9,6 @@
 //   manual-lock         .lock()/.unlock()/try_lock*() instead of RAII
 //   crypto-alloc        new/delete/malloc-family in src/crypto or the
 //                       protocol core (zero-allocation contract)
-//   protocol-codec      per-message legacy serialize()/deserialize() calls
-//                       in the protocol core (wire:: views instead)
 //   pragma-once, using-namespace-header   header hygiene
 //   mutable-global      non-constexpr namespace-scope variables in src/
 //
@@ -58,7 +56,6 @@ inline constexpr const char* kRuleDeterminism = "determinism";
 inline constexpr const char* kRuleFloatEquality = "float-equality";
 inline constexpr const char* kRuleManualLock = "manual-lock";
 inline constexpr const char* kRuleCryptoAlloc = "crypto-alloc";
-inline constexpr const char* kRuleProtocolCodec = "protocol-codec";
 inline constexpr const char* kRulePragmaOnce = "pragma-once";
 inline constexpr const char* kRuleUsingNamespace = "using-namespace-header";
 inline constexpr const char* kRuleMutableGlobal = "mutable-global";

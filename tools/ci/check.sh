@@ -63,9 +63,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L property
 
 step "codec fuzz (flat wire smoke)"
 # The full ctest above already ran the whole fuzz suite; this named stage
-# re-runs the flat-codec slice (legacy/flat accept-set parity, encoder
-# byte-identity, mutation and transplant rejection) so a wire-format break
-# is legible in CI logs on its own line.
+# re-runs the flat-codec slice (pinned SHA-256 of every body-zoo encoding,
+# canonical round trip: whatever a view accepts re-encodes to the same
+# bytes, and every encoding is accepted by its view; mutation and
+# transplant rejection) so a wire-format break is legible in CI logs on
+# its own line.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(FuzzFlatCodec|asan\..*FuzzFlatCodec)'
 
