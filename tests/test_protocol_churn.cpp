@@ -97,6 +97,13 @@ constexpr Golden kGolden[] = {
       "0d9d316e26c2692e32c0e3afd22f3f7f984bac7141d17a333a351856dc9333bb",
       "542e1879a8fcd9c6629c429d3316817309ac3070e7cc6f7af225052f54fba49a",
       "4d5de84a23c35c23c240d540d46541e97586b691289bb21f94769339a7bdd7a7"}},
+    {"m=40 crash-before-bid",
+     {"a9530b5c4cdacf6199864ae981157bb6022b1d4eceb583650d33f37cbaaf0bca",
+      "9ac609f2d62f446a75aea842c99dc0cc0e5575f95da35deabb560a6eed9ca78f",
+      "65e717055ba1df41f74868aed1e6285d31521905251d9dd9bd608319de405e35",
+      "67b5f9125f11b93efd4e267a049ff423e2141429e334cca3131ad4e1ca8c8715",
+      "9e4b0ceecdd832d1306ce7680d016a4f06e0bd21ba4a619b7cccda4abf3ebdd6",
+      "c6dca183ce0f8e5ee3de29b52fa3cbbceae454c425edcba84657e458556b4f78"}},
 };
 // clang-format on
 
@@ -301,6 +308,32 @@ TEST(ChurnScenarios, NfeCrashBeforeBidExcludes) {
     ASSERT_EQ(outcome.churn_excluded, std::vector<std::string>{"P2"});
     EXPECT_FALSE(outcome.terminated_early);
     EXPECT_EQ(outcome.fined_count(), 0u);
+    EXPECT_GT(outcome.user_paid, 0.0);
+}
+
+// ---- m = 40: exclusion shrinks a round larger than the verify queue ---------
+
+TEST(ChurnScenarios, CrashBeforeBidExcludesAtFortyProcessors) {
+    auto config = base_config();
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 40; ++i) {
+        config.true_w.push_back(0.8 + 0.05 * static_cast<double>((i * 13) % 40));
+    }
+    config.z = 0.02;
+    config.block_count = 4000;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    config.churn_plan.events = {{"P23", 0.0, ChurnEventKind::kCrash}};
+    const auto run = expect_golden(config, "m=40 crash-before-bid");
+    const auto& outcome = run.result;
+
+    ASSERT_EQ(outcome.churn_excluded, std::vector<std::string>{"P23"});
+    EXPECT_FALSE(outcome.terminated_early);
+    EXPECT_EQ(outcome.ended_in, Phase::kDone);
+    EXPECT_EQ(outcome.fined_count(), 0u);
+    EXPECT_EQ(outcome.processor("P23").payment, 0.0);
+    std::size_t assigned = 0;
+    for (const auto& p : outcome.processors) assigned += p.blocks_assigned;
+    EXPECT_EQ(assigned, config.block_count);
     EXPECT_GT(outcome.user_paid, 0.0);
 }
 

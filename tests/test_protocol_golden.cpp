@@ -2,7 +2,8 @@
 //
 // A fixed scenario zoo — honest NCP-FE and NCP-NFE runs, the
 // bandwidth-charged control plane, every worker deviant on both network
-// kinds, every load-origin deviant, and three seeds — is run once each, and
+// kinds, every load-origin deviant, three seeds, and m = 40 runs whose bid
+// intake fills the verify queue — is run once each, and
 // the SHA-256 of each artifact (outcome, fines ledger, JSONL event log at
 // debug level, rendered trace, catapult export, per-run metrics) must equal
 // the digest pinned below. A deliberate behaviour change fails here with the
@@ -199,6 +200,48 @@ constexpr Golden kGolden[] = {
       "4b5e39a7b0980747184544de2c5966d7e28e03e7de52d701a18ccb0a0146cd48",
       "a2c4b93188a267165e1ee337c61615d362e61ad26042ba0356f8b3a795a42d77",
       "f13067c74ed64c09bdb7ab4f986e6d7c696ebfb2b60020f9fe2084b1ac32b2e6"}},
+    {"m=40 honest BUS-LINEAR-NCP-FE verify_batch=16",
+     {"cf64418a62698b7aebc8653dfb5dde3e3429ffd24952c63a2526b910926b1d51",
+      "2197eaac0388929eeca6e9d51030661f896b754f0552f0ac2011437f981046c5",
+      "307e2d08c8c76bbe4a46c68aaa8e8b0c5055a42cfb684981dd11d6da4cc739b0",
+      "618f3f52281de5df9cd57c67df50946d2de0e11bd034d8c9dd1ffe05c3308ca1",
+      "e4073e0d0aa746003db9c6eeef99d22060613af4d1f7424f0058a76fd31438f8",
+      "c6dfb62cd76ddf59347e2b188a00a054d5bcf1db9a62492104d1ed2cee760571"}},
+    {"m=40 honest BUS-LINEAR-NCP-FE verify_batch=1",
+     {"cf64418a62698b7aebc8653dfb5dde3e3429ffd24952c63a2526b910926b1d51",
+      "2197eaac0388929eeca6e9d51030661f896b754f0552f0ac2011437f981046c5",
+      "307e2d08c8c76bbe4a46c68aaa8e8b0c5055a42cfb684981dd11d6da4cc739b0",
+      "618f3f52281de5df9cd57c67df50946d2de0e11bd034d8c9dd1ffe05c3308ca1",
+      "e4073e0d0aa746003db9c6eeef99d22060613af4d1f7424f0058a76fd31438f8",
+      "c6dfb62cd76ddf59347e2b188a00a054d5bcf1db9a62492104d1ed2cee760571"}},
+    {"m=40 honest BUS-LINEAR-NCP-NFE verify_batch=16",
+     {"07de1fc7319535a134fa216bceb4e47a320263c398ab261267b5c6ae54ed4192",
+      "7c89c88e9f2a03947f8a45f8a90c99867c4eebcb6334b650302ff7bb5b68ffb0",
+      "2f423d739f42a7fbd19827ede6e0bfea19842bbf4332469d116ebd43b36c83f2",
+      "f7bfdd9310892a3046538ed4ec8044f7324c2fb3f74c8968aa757ee51c41df22",
+      "d2e09bad1f790d2a45fe706e445489f80b3ca1e3cdd3f06a293915ebca1126df",
+      "f3f813fa140feb34e100e14d242c75a06df4d9962885086af1d77ea805f67be9"}},
+    {"m=40 honest BUS-LINEAR-NCP-NFE verify_batch=1",
+     {"07de1fc7319535a134fa216bceb4e47a320263c398ab261267b5c6ae54ed4192",
+      "7c89c88e9f2a03947f8a45f8a90c99867c4eebcb6334b650302ff7bb5b68ffb0",
+      "2f423d739f42a7fbd19827ede6e0bfea19842bbf4332469d116ebd43b36c83f2",
+      "f7bfdd9310892a3046538ed4ec8044f7324c2fb3f74c8968aa757ee51c41df22",
+      "d2e09bad1f790d2a45fe706e445489f80b3ca1e3cdd3f06a293915ebca1126df",
+      "f3f813fa140feb34e100e14d242c75a06df4d9962885086af1d77ea805f67be9"}},
+    {"m=40 BUS-LINEAR-NCP-FE worker inconsistent_bidder",
+     {"9ca85b4838cb86586c983641868324c61e2baecb43a39cc8fc0ac3965590dccf",
+      "2f965405967b4325aec04de81141447a508ee27643c9b7a492ba1ae94cd560d8",
+      "8744128aa16a301f1e53feb89ac9fc3c04dba77ddf9ece47d2b786a42d6d0e5d",
+      "57059d0979d4c36796a8149325d3f65cad3c55342a76c707e281bbc1ba78028d",
+      "77892468284125841615a24fc9a9adbdd6d7b02084d7b2931f76883a606c8ade",
+      "d80975a2d758c7c179982de68e97862a26462e068eca7c66038a5824720f0666"}},
+    {"m=40 BUS-LINEAR-NCP-FE worker contradictory_payer",
+     {"d7ef8ad1988e1e3535683d30d921d7da5343397f54d3136fe4a717fcb1565939",
+      "a339251b6c5569de33fd0d3de9693552f823f0e0bc8de598a647d13c31cb5ef6",
+      "41dd762af04ef148855ea4686c59114ad6e07c60900f1ebd37573a3c3e4d95f3",
+      "0a935e5c2cdf75a0e86482a16d4440875b6cd51d30a1d1a92c207b674aa83d9b",
+      "eb317c2e8c453ef28a94259563d241c878d524d64c230016159b0ec0b1709d9d",
+      "41ec8578fb2502fe6e0f9d55c140b805d7245cac51d377b7b6580af3bb4696f8"}},
 };
 // clang-format on
 
@@ -269,6 +312,41 @@ std::vector<Scenario> seed_scenarios() {
     return out;
 }
 
+// m = 40: more bidders than the default 16-envelope verify queue holds, so
+// bid intake flushes on a full queue mid-round as well as at the conflict
+// and possibly-complete boundaries. verify_batch = 1 is the eager schedule
+// the batched one must reproduce byte for byte.
+ProtocolConfig large_config(dlt::NetworkKind kind, std::size_t verify_batch) {
+    ProtocolConfig config = base_config(kind);
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 40; ++i) {
+        config.true_w.push_back(0.8 + 0.05 * static_cast<double>((i * 13) % 40));
+    }
+    config.z = 0.02;
+    config.block_count = 4000;
+    config.verify_batch = verify_batch;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    return config;
+}
+
+std::vector<Scenario> verify_queue_scenarios() {
+    std::vector<Scenario> out;
+    for (const auto kind : kKinds) {
+        for (const std::size_t batch : {std::size_t{16}, std::size_t{1}}) {
+            out.push_back({"m=40 honest " + std::string(dlt::to_string(kind)) +
+                               " verify_batch=" + std::to_string(batch),
+                           large_config(kind, batch)});
+        }
+    }
+    auto double_bid = large_config(dlt::NetworkKind::kNcpFE, 16);
+    double_bid.strategies[17] = agents::inconsistent_bidder();
+    out.push_back({"m=40 BUS-LINEAR-NCP-FE worker inconsistent_bidder", double_bid});
+    auto contradictory = large_config(dlt::NetworkKind::kNcpFE, 16);
+    contradictory.strategies[17] = agents::contradictory_payer();
+    out.push_back({"m=40 BUS-LINEAR-NCP-FE worker contradictory_payer", contradictory});
+    return out;
+}
+
 void expect_golden(const std::vector<Scenario>& scenarios) {
     for (const auto& scenario : scenarios) {
         test_support::expect_golden(test_support::capture(scenario.config), scenario.label,
@@ -286,12 +364,16 @@ TEST(ProtocolGolden, LoDeviantZoo) { expect_golden(lo_deviant_scenarios()); }
 
 TEST(ProtocolGolden, Seeds) { expect_golden(seed_scenarios()); }
 
+TEST(ProtocolGolden, VerifyQueueFillsAtFortyProcessors) {
+    expect_golden(verify_queue_scenarios());
+}
+
 // The table pins exactly the zoo: one row per scenario, no stale rows.
 TEST(ProtocolGolden, TableCoversExactlyTheZoo) {
     std::vector<std::string> labels;
     for (const auto& group : {honest_scenarios(), bandwidth_scenarios(),
                               worker_deviant_scenarios(), lo_deviant_scenarios(),
-                              seed_scenarios()}) {
+                              seed_scenarios(), verify_queue_scenarios()}) {
         for (const auto& scenario : group) labels.push_back(scenario.label);
     }
     std::vector<std::string> pinned;
