@@ -20,6 +20,7 @@
 // that identity, which tests/test_protocol.cpp checks numerically.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -68,7 +69,31 @@ class DlsBl {
  private:
     dlt::ProblemInstance instance_;    // kind, z, w = bids
     dlt::LoadAllocation alpha_;
+    // The realized makespan T(α(b), (b_-i, w̃_i)) differs from the bid
+    // makespan in T_i only (bus time does not depend on w), so it is one
+    // finishing time and two running maxima of the bid finishing times:
+    // bus_offsets_[i] gives T_i at any speed, max_before_[i] folds
+    // T_1..T_{i-1} and max_after_[i] folds T_{i+1}..T_m (-inf when empty).
+    // max picks one of its operands, so the result is bit-identical to
+    // evaluating the whole mixed vector.
+    std::vector<double> bus_offsets_;
+    std::vector<double> max_before_;
+    std::vector<double> max_after_;
     mutable std::vector<double> exclusion_cache_;  // lazily computed, NaN = missing
+};
+
+// One mechanism per bid vector. Every party of a run computes payments over
+// the same public bids; handing them the same DlsBl lets the m leave-one-out
+// makespans be solved once per run instead of once per party. Keyed on the
+// exact bits of (kind, z, bids); a different key builds a fresh mechanism,
+// and earlier handles stay valid.
+class DlsBlCache {
+ public:
+    [[nodiscard]] std::shared_ptr<const DlsBl> get(dlt::NetworkKind kind, double z,
+                                                   std::span<const double> bids);
+
+ private:
+    std::shared_ptr<const DlsBl> current_;
 };
 
 }  // namespace dlsbl::mech

@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "dlt/closed_form.hpp"
 #include "mech/dls_bl.hpp"
+#include "obs/profiler.hpp"
 #include "protocol/blocks.hpp"
 
 namespace dlsbl::protocol {
@@ -394,7 +394,8 @@ DeliveryRuling churn_ruling(const ChurnPlan& plan, const std::string& from,
 
 // ---- pro-rata settlement ---------------------------------------------------
 
-std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs) {
+std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs,
+                                              mech::DlsBlCache& mechanisms) {
     std::vector<double> q(inputs.names.size(), 0.0);
     // Active bidders in original index order — the subset the mechanism ran
     // over after bid-deadline exclusions.
@@ -411,9 +412,10 @@ std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& input
     // The leave-one-out bonus needs at least two participants.
     if (bids.size() < 2 || inputs.block_count == 0) return q;
 
-    dlt::ProblemInstance instance{inputs.kind, inputs.z, bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto original = DataSet::blocks_for_allocation(inputs.block_count, alpha);
+    OBS_SCOPE("payments");
+    const auto mechanism = mechanisms.get(inputs.kind, inputs.z, bids);
+    const auto original =
+        DataSet::blocks_for_allocation(inputs.block_count, mechanism->allocation());
 
     // Execution rates from the meters, over the *realized* fraction: a
     // processor that ran `final` blocks in φ seconds demonstrated rate
@@ -436,8 +438,7 @@ std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& input
         }
     }
 
-    mech::DlsBl mechanism(inputs.kind, inputs.z, bids);
-    const auto breakdown = mechanism.payments(exec);
+    const auto breakdown = mechanism->payments(exec);
     for (std::size_t j = 0; j < active_index.size(); ++j) {
         const double mechanism_q = breakdown.payment[j];
         double value = mechanism_q;

@@ -25,6 +25,10 @@
 #include "dlt/types.hpp"
 #include "util/bytes.hpp"
 
+namespace dlsbl::mech {
+class DlsBlCache;
+}  // namespace dlsbl::mech
+
 namespace dlsbl::protocol {
 
 enum class ChurnEventKind : std::uint8_t {
@@ -145,7 +149,10 @@ struct ChurnSettlementInputs {
 };
 
 // Full-size payment vector (names.size() entries, zeros for excluded).
-// Returns all-zeros when fewer than two active bidders remain.
-std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs);
+// Returns all-zeros when fewer than two active bidders remain. The mechanism
+// over the active bids comes from `mechanisms`, so every party settling the
+// same bids shares one.
+std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs,
+                                              mech::DlsBlCache& mechanisms);
 
 }  // namespace dlsbl::protocol

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/pki.hpp"
@@ -11,6 +13,18 @@
 #include "protocol/strategy.hpp"
 
 namespace dlsbl::protocol {
+
+// Dense processor id: processor P_k is ProcId k - 1. Names stay on the wire
+// and in every artifact; endpoints map a name to its id once, at intake, and
+// keep per-processor state in arrays indexed by it.
+using ProcId = std::uint32_t;
+
+// "P<k>" (decimal k in 1..processor_count, no sign, no leading zero) -> k - 1;
+// anything else (the user, the referee, a stray name) -> nullopt.
+[[nodiscard]] std::optional<ProcId> parse_proc_id(std::string_view name,
+                                                  std::size_t processor_count) noexcept;
+// Inverse of parse_proc_id: "P<id + 1>".
+[[nodiscard]] std::string proc_name(ProcId id);
 
 // Fine policy (§4, Bidding): "Fine F must be large [enough] to dissuade
 // cheating and to induce finking. Furthermore, F must be larger than the

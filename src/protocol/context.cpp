@@ -22,6 +22,22 @@ const char* to_string(Phase phase) noexcept {
     return "?";
 }
 
+std::optional<ProcId> parse_proc_id(std::string_view name,
+                                    std::size_t processor_count) noexcept {
+    if (name.size() < 2 || name.size() > 11 || name[0] != 'P' || name[1] == '0') {
+        return std::nullopt;
+    }
+    std::uint64_t k = 0;
+    for (const char c : name.substr(1)) {
+        if (c < '0' || c > '9') return std::nullopt;
+        k = k * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    if (k > processor_count) return std::nullopt;
+    return static_cast<ProcId>(k - 1);
+}
+
+std::string proc_name(ProcId id) { return "P" + std::to_string(std::uint64_t{id} + 1); }
+
 void ProtocolConfig::validate() const {
     if (kind == dlt::NetworkKind::kCP) {
         throw std::invalid_argument(
@@ -42,33 +58,15 @@ void ProtocolConfig::validate() const {
     }
     if (churn_plan.enabled()) {
         churn_plan.validate();
-        const auto known = [&](const std::string& name) {
-            for (std::size_t i = 0; i < true_w.size(); ++i) {
-                if (name == "P" + std::to_string(i + 1)) return true;
+        const auto require_known = [&](const std::string& name) {
+            if (!parse_proc_id(name, true_w.size())) {
+                throw std::invalid_argument(
+                    "ProtocolConfig: churn plan names unknown processor " + name);
             }
-            return false;
         };
-        for (const auto& event : churn_plan.events) {
-            if (!known(event.processor)) {
-                throw std::invalid_argument("ProtocolConfig: churn plan names unknown "
-                                            "processor " +
-                                            event.processor);
-            }
-        }
-        for (const auto& loss : churn_plan.losses) {
-            if (!known(loss.processor)) {
-                throw std::invalid_argument("ProtocolConfig: churn plan names unknown "
-                                            "processor " +
-                                            loss.processor);
-            }
-        }
-        for (const auto& delay : churn_plan.delays) {
-            if (!known(delay.processor)) {
-                throw std::invalid_argument("ProtocolConfig: churn plan names unknown "
-                                            "processor " +
-                                            delay.processor);
-            }
-        }
+        for (const auto& event : churn_plan.events) require_known(event.processor);
+        for (const auto& loss : churn_plan.losses) require_known(loss.processor);
+        for (const auto& delay : churn_plan.delays) require_known(delay.processor);
     }
 }
 
@@ -85,10 +83,9 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
     run_span_ = spans_.open("run", "protocol", clock_.now());
     names_.reserve(config_.true_w.size());
     for (std::size_t i = 0; i < config_.true_w.size(); ++i) {
-        std::string name = "P";
-        name += std::to_string(i + 1);
-        names_.push_back(std::move(name));
+        names_.push_back(proc_name(static_cast<ProcId>(i)));
     }
+    shipped_.resize(names_.size());
     lo_name_ = names_[dlt::load_origin_index(config_.kind, names_.size())];
     ledger_.open_account(user_name_);
     ledger_.open_account(referee_name_);
@@ -112,9 +109,7 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
 }
 
 std::size_t RunContext::index_of(const std::string& name) const {
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        if (names_[i] == name) return i;
-    }
+    if (const auto id = proc_id(name)) return *id;
     throw std::out_of_range("RunContext: unknown processor " + name);
 }
 
@@ -158,14 +153,15 @@ void RunContext::post_fine(double predicted_compensation_sum) {
 void RunContext::ship_load(const std::string& from, const std::string& to,
                            LoadBatch batch, std::uint64_t span_id) {
     // The bus witness: record exactly what crosses the shared medium.
-    auto& record = shipped_[to];
+    auto& record = shipped_[index_of(to)];
+    if (!record) record.emplace();
     for (const auto& block : batch.blocks) {
         if (DataSet::verify_block(dataset_.root(), block)) {
-            ++record.valid_blocks;
+            ++record->valid_blocks;
         } else {
-            ++record.invalid_blocks;
+            ++record->invalid_blocks;
         }
-        record.block_ids.push_back(block.id);
+        record->block_ids.push_back(block.id);
     }
     const double units =
         static_cast<double>(batch.blocks.size()) / static_cast<double>(config_.block_count);
@@ -174,8 +170,8 @@ void RunContext::ship_load(const std::string& from, const std::string& to,
 }
 
 const ShippedRecord* RunContext::shipped_to(const std::string& to) const {
-    const auto it = shipped_.find(to);
-    return it == shipped_.end() ? nullptr : &it->second;
+    const auto id = proc_id(to);
+    return id && shipped_[*id] ? &*shipped_[*id] : nullptr;
 }
 
 double RunContext::clamp_rate(const std::string& who, double requested) const {

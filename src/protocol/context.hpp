@@ -17,12 +17,14 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/pki.hpp"
+#include "mech/dls_bl.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "protocol/blocks.hpp"
@@ -58,6 +60,11 @@ class RunContext {
     [[nodiscard]] const std::string& referee_name() const noexcept { return referee_name_; }
     [[nodiscard]] const std::string& load_origin() const noexcept { return lo_name_; }
     [[nodiscard]] std::uint64_t job_id() const noexcept { return job_id_; }
+    // Name -> dense id (O(1)); nullopt for anything that is not a processor.
+    [[nodiscard]] std::optional<ProcId> proc_id(std::string_view name) const noexcept {
+        return parse_proc_id(name, processor_count());
+    }
+    // As proc_id, but an unknown name is a caller bug: throws out_of_range.
     [[nodiscard]] std::size_t index_of(const std::string& name) const;
 
     // --- subsystems ---------------------------------------------------------
@@ -72,6 +79,10 @@ class RunContext {
     [[nodiscard]] obs::MetricsRegistry& metrics_registry() noexcept {
         return metrics_registry_;
     }
+    // The run's payment mechanisms, one per public bid vector: every node's
+    // payment vector, the referee's recomputation and the churn settlement
+    // over the same bids share one DlsBl and its leave-one-out makespans.
+    [[nodiscard]] mech::DlsBlCache& mechanisms() noexcept { return mechanisms_; }
 
     // --- causal spans (obs/span.hpp) -----------------------------------------
     // One span tree per run: run -> phase -> per-processor message / verify /
@@ -146,6 +157,7 @@ class RunContext {
     Ledger ledger_;
     MeterBank meters_;
     obs::MetricsRegistry metrics_registry_;
+    mech::DlsBlCache mechanisms_;
     obs::SpanBook spans_;
     obs::SpanContext run_span_;
     obs::SpanContext phase_span_;
@@ -162,7 +174,7 @@ class RunContext {
     bool fine_posted_ = false;
     double fine_amount_ = 0.0;
 
-    std::map<std::string, ShippedRecord> shipped_;
+    std::vector<std::optional<ShippedRecord>> shipped_;  // by ProcId of the receiver
     RefereeCore* referee_ = nullptr;
     std::size_t expected_workers_ = 0;
     std::size_t finished_workers_ = 0;

@@ -6,6 +6,7 @@
 #include "dlt/closed_form.hpp"
 #include "mech/dls_bl.hpp"
 #include "obs/event.hpp"
+#include "obs/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace dlsbl::protocol {
@@ -24,7 +25,9 @@ RefereeCore::RefereeCore(RunContext& context)
     : Endpoint(context.referee_name()),
       ctx_(context),
       pending_churn_bids_(context.config().verify_batch),
-      pending_payments_(context.config().verify_batch) {
+      pending_payments_(context.config().verify_batch),
+      churn_bid_tally_(context.processor_count()),
+      payment_tally_(context.processor_count()) {
     register_handlers();
     if (ctx_.churn_enabled()) {
         ctx_.clock().call_at(ctx_.config().churn_plan.policy.bid_timeout,
@@ -417,6 +420,8 @@ void RefereeCore::on_all_meters_done() {
 
 void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (settled_ || verdict_issued_) return;
+    const auto from = ctx_.proc_id(message.from);
+    if (!from) return;  // only processors submit payment vectors
     const auto view = wire::SignedMessageView::parse(message.payload);
     if (!view || view->signer != message.from) return;
 
@@ -425,14 +430,15 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     // replays arrival order, so discards and the evaluation schedule land
     // exactly where eager verification would put them.
     if (ctx_.config().verify_batch > 1) {
-        pending_payments_.push(message.from, view->to_owned());
+        pending_payments_.push(*from, view->to_owned());
+        payment_tally_.queued(*from);
         if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
         return;
     }
     if (!view->verify(ctx_.pki())) {
         return;  // unauthenticated submissions are discarded
     }
-    apply_payment(message.from, view->to_owned(), true);
+    apply_payment(*from, view->to_owned(), true);
 }
 
 bool RefereeCore::payment_quorum_possible() const {
@@ -440,23 +446,18 @@ bool RefereeCore::payment_quorum_possible() const {
     // without them, but a full set of active submissions settles early.
     const std::size_t quorum =
         ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
-    std::size_t covered = 0;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (payment_payloads_.contains(processor) ||
-            pending_payments_.has_sender(processor)) {
-            ++covered;
-        }
-    }
-    return covered >= quorum;
+    return payment_tally_.active_covered() >= quorum;
 }
 
-void RefereeCore::apply_payment(const std::string& from,
-                                const crypto::SignedMessage& envelope, bool verified) {
+void RefereeCore::apply_payment(ProcId id, const crypto::SignedMessage& envelope,
+                                bool verified) {
     if (!verified) return;  // unauthenticated submissions are discarded
+    const std::string& from = ctx_.processor_names()[id];
     const auto body = wire::PaymentView::parse(envelope.payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     if (body->payment_count != ctx_.processor_count()) return;
 
+    payment_tally_.record(id);
     payment_payloads_[from].push_back(envelope.payload);
     auto& values = payment_values_[from];
     values.clear();
@@ -562,9 +563,10 @@ void RefereeCore::recompute_and_settle() {
     for (std::size_t i = 0; i < m; ++i) {
         bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
     }
-    const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bids);
+    OBS_SCOPE("payments");
+    const auto mechanism = ctx_.mechanisms().get(ctx_.config().kind, ctx_.config().z, bids);
     const auto exec = execution_values();
-    const auto breakdown = mechanism.payments(std::span<const double>(exec));
+    const auto breakdown = mechanism->payments(std::span<const double>(exec));
 
     std::set<std::string> wrong;
     for (const auto& [submitter, payloads] : payment_payloads_) {
@@ -735,43 +737,41 @@ void RefereeCore::finalize_termination_payouts() {
 // ---- churn machinery (DESIGN.md "Churn model") ------------------------------
 
 void RefereeCore::handle_churn_bid(const WireMessage& message) {
+    const auto from = ctx_.proc_id(message.from);
+    if (!from) return;  // only processors bid
     const auto view = wire::SignedMessageView::parse(message.payload);
     if (!view || view->signer != message.from) return;
     // Deferred intake: the churn recorder is first-bid-wins after
     // verification and emits nothing until the bidder set is complete, so
     // only possible completion (or the batch limit) forces a flush.
     if (ctx_.config().verify_batch > 1) {
-        pending_churn_bids_.push(message.from, view->to_owned());
+        pending_churn_bids_.push(*from, view->to_owned());
+        churn_bid_tally_.queued(*from);
         if (pending_churn_bids_.full() || churn_bid_set_possibly_complete()) {
             flush_deferred();
         }
         return;
     }
     if (!view->verify(ctx_.pki())) return;
-    apply_churn_bid(message.from, view->to_owned(), true);
+    apply_churn_bid(*from, view->to_owned(), true);
 }
 
 bool RefereeCore::churn_bid_set_possibly_complete() const {
-    if (churn_bids_complete_) return true;
-    std::size_t covered = 0;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_bids_.contains(processor) ||
-            pending_churn_bids_.has_sender(processor)) {
-            ++covered;
-        }
-    }
-    return covered == ctx_.processor_count();
+    return churn_bids_complete_ ||
+           churn_bid_tally_.active_covered() == ctx_.processor_count();
 }
 
-void RefereeCore::apply_churn_bid(const std::string& from,
-                                  const crypto::SignedMessage& envelope, bool verified) {
+void RefereeCore::apply_churn_bid(ProcId id, const crypto::SignedMessage& envelope,
+                                  bool verified) {
     if (!verified) return;
+    const std::string& from = ctx_.processor_names()[id];
     const auto body = wire::BidView::parse(envelope.payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     // First bid wins: a stale rejoin replaying the identical signed bid is
     // benign, and a genuinely different second bid is offense (i) — the
     // peers' accusation path handles that, not the churn recorder.
-    if (churn_bids_.contains(from)) return;
+    if (churn_bid_tally_.recorded(id)) return;
+    churn_bid_tally_.record(id);
     churn_bids_[from] = body->bid;
     if (!churn_bids_complete_ && churn_bids_.size() == ctx_.processor_count()) {
         complete_churn_bidding();
@@ -781,15 +781,17 @@ void RefereeCore::apply_churn_bid(const std::string& from,
 void RefereeCore::flush_deferred() {
     // Churn bids always precede payment vectors in a round, so replaying
     // the bid queue first preserves global arrival order across queues.
-    pending_churn_bids_.flush(ctx_.pki(), [this](const std::string& from,
+    pending_churn_bids_.flush(ctx_.pki(), [this](ProcId from,
                                                  const crypto::SignedMessage& envelope,
                                                  bool verified) {
         apply_churn_bid(from, envelope, verified);
+        churn_bid_tally_.replayed(from);
     });
-    pending_payments_.flush(ctx_.pki(), [this](const std::string& from,
+    pending_payments_.flush(ctx_.pki(), [this](ProcId from,
                                                const crypto::SignedMessage& envelope,
                                                bool verified) {
         apply_payment(from, envelope, verified);
+        payment_tally_.replayed(from);
     });
 }
 
@@ -1029,7 +1031,7 @@ void RefereeCore::churn_evaluate_payments() {
             inputs.phis[processor] = ctx_.meters().elapsed(processor);
         }
     }
-    const std::vector<double> canonical = churn_settlement_payments(inputs);
+    const std::vector<double> canonical = churn_settlement_payments(inputs, ctx_.mechanisms());
 
     // Submitted vectors that disagree with the canonical settlement are
     // offense (iii); missing submissions (dead processors) are not fined —

@@ -97,10 +97,8 @@ class RefereeCore final : public Endpoint {
     // arrivals (churn bids, payment vectors) park unverified and flush in
     // arrival order through Pki::verify_many before any observable action.
     void flush_deferred();
-    void apply_churn_bid(const std::string& from, const crypto::SignedMessage& envelope,
-                         bool verified);
-    void apply_payment(const std::string& from, const crypto::SignedMessage& envelope,
-                       bool verified);
+    void apply_churn_bid(ProcId from, const crypto::SignedMessage& envelope, bool verified);
+    void apply_payment(ProcId from, const crypto::SignedMessage& envelope, bool verified);
     [[nodiscard]] bool churn_bid_set_possibly_complete() const;
     [[nodiscard]] bool payment_quorum_possible() const;
 
@@ -159,6 +157,10 @@ class RefereeCore final : public Endpoint {
     // Arrival-order intake queues for deferred signature verification.
     VerifyQueue pending_churn_bids_;
     VerifyQueue pending_payments_;
+    // Per-ProcId intake counts beside the queues (recorded or still queued),
+    // so the completion and quorum tests are O(1).
+    SenderTally churn_bid_tally_;
+    SenderTally payment_tally_;
 
     bool verdict_issued_ = false;
     std::map<std::string, double> fines_;

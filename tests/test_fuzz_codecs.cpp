@@ -16,6 +16,7 @@
 #include "crypto/mss.hpp"
 #include "crypto/pki.hpp"
 #include "crypto/sha256.hpp"
+#include "mech/dls_bl.hpp"
 #include "obs/metrics.hpp"
 #include "protocol/blocks.hpp"
 #include "protocol/churn.hpp"
@@ -498,7 +499,8 @@ TEST(FuzzCodecs, PartialMeterSettlementNeverCrashes) {
             }
             if (rng.uniform() < 0.7) inputs.phis[name] = rng.uniform(0.0, 2.0);
         }
-        const auto payments = protocol::churn_settlement_payments(inputs);
+        mech::DlsBlCache mechanisms;
+        const auto payments = protocol::churn_settlement_payments(inputs, mechanisms);
         ASSERT_EQ(payments.size(), names.size());
         for (std::size_t i = 0; i < names.size(); ++i) {
             if (inputs.excluded.contains(names[i])) {

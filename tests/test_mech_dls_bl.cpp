@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "dlt/finish_time.hpp"
+#include "util/rng.hpp"
 
 namespace dlsbl::mech {
 namespace {
@@ -125,6 +131,85 @@ TEST(DlsBl, VoluntaryParticipationSpot) {
         const auto breakdown = mechanism.payments(std::span<const double>(bids));
         for (double u : breakdown.utility) EXPECT_GE(u, -1e-12);
     }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// B_i evaluated the long way: the leave-one-out optimum minus the makespan
+// of the whole mixed vector (b_-i, w̃_i) under the bid allocation.
+double reference_bonus(const DlsBl& mechanism, std::size_t i, double exec_value) {
+    const auto& instance = mechanism.bid_instance();
+    std::vector<double> mixed = instance.w;
+    mixed[i] = exec_value;
+    return dlt::leave_one_out_makespan(instance, i) -
+           dlt::makespan_generic<double>(instance.kind,
+                                         std::span<const double>(mechanism.allocation()),
+                                         std::span<const double>(mixed), instance.z);
+}
+
+// The optimal allocation equalizes the bid finishing times up to rounding,
+// so a slip in the running maxima only moves the last bits of a bonus:
+// many random instances, every index at the small sizes, exact bits.
+TEST(DlsBl, PaymentsMatchLeaveOneOutReferenceBitForBit) {
+    util::Xoshiro256 rng{515};
+    for (const auto kind : {dlt::NetworkKind::kCP, dlt::NetworkKind::kNcpFE,
+                            dlt::NetworkKind::kNcpNFE}) {
+        for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{17},
+                                    std::size_t{256}}) {
+            for (int trial = 0; trial < 20; ++trial) {
+                std::vector<double> bids(m);
+                std::vector<double> exec(m);
+                for (std::size_t j = 0; j < m; ++j) {
+                    bids[j] = rng.uniform(0.5, 3.0);
+                    exec[j] = bids[j] * rng.uniform(0.5, 2.0);
+                }
+                const double z = rng.uniform(0.001, 0.4);
+                const DlsBl mechanism(kind, z, bids);
+                const auto breakdown = mechanism.payments(std::span<const double>(exec));
+                std::vector<std::size_t> probes = {0, m - 1, dlt::load_origin_index(kind, m)};
+                if (m < 256) {
+                    for (std::size_t i = 0; i < m; ++i) probes.push_back(i);
+                }
+                for (const std::size_t i : probes) {
+                    const double expected = reference_bonus(mechanism, i, exec[i]);
+                    const std::string where = std::string(dlt::to_string(kind)) +
+                                              " m=" + std::to_string(m) +
+                                              " trial=" + std::to_string(trial) +
+                                              " i=" + std::to_string(i);
+                    ASSERT_EQ(bits(breakdown.bonus[i]), bits(expected)) << where;
+                    ASSERT_EQ(bits(mechanism.bonus_of(i, exec[i])), bits(expected)) << where;
+                    ASSERT_EQ(bits(mechanism.exclusion_makespan(i)),
+                              bits(dlt::leave_one_out_makespan(mechanism.bid_instance(), i)))
+                        << where;
+                }
+            }
+        }
+    }
+}
+
+TEST(DlsBl, BonusOfRejectsOutOfRangeIndex) {
+    const DlsBl mechanism(dlt::NetworkKind::kNcpFE, 0.5, {1.0, 2.0});
+    EXPECT_THROW((void)mechanism.bonus_of(2, 1.0), std::out_of_range);
+}
+
+TEST(DlsBlCache, SameBidsShareOneMechanismAndOneUlpBuildsAnother) {
+    DlsBlCache cache;
+    const std::vector<double> bids{1.0, 2.0, 1.5};
+    const auto first = cache.get(dlt::NetworkKind::kNcpFE, 0.25, bids);
+    EXPECT_EQ(cache.get(dlt::NetworkKind::kNcpFE, 0.25, bids).get(), first.get());
+
+    auto nudged = bids;
+    nudged[1] = std::nextafter(nudged[1], std::numeric_limits<double>::infinity());
+    const auto other = cache.get(dlt::NetworkKind::kNcpFE, 0.25, nudged);
+    EXPECT_NE(other.get(), first.get());
+    EXPECT_EQ(other->bid_instance().w, nudged);
+    EXPECT_EQ(first->bid_instance().w, bids);  // earlier handles stay valid
+
+    const auto back = cache.get(dlt::NetworkKind::kNcpFE, 0.25, bids);
+    EXPECT_NE(back.get(), other.get());
+    EXPECT_NE(cache.get(dlt::NetworkKind::kNcpNFE, 0.25, bids).get(), back.get());
+    const double z_nudged = std::nextafter(0.25, 1.0);
+    EXPECT_NE(cache.get(dlt::NetworkKind::kNcpNFE, z_nudged, bids)->bid_instance().z, 0.25);
 }
 
 }  // namespace
