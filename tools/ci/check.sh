@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # tools/ci/check.sh — the one-command verification entry point:
 #
-#   configure -> build -> ctest (tier-1) -> dlsbl_analyze -> clang-tidy*
-#                                                  -> cppcheck* (*when on PATH)
+#   configure -> build -> ctest (tier-1) -> m = 1024 scale run -> dlsbl_analyze
+#                                       -> clang-tidy* -> cppcheck* (*when on PATH)
 #
 # Static and dynamic analysis share this entry point: set DLSBL_SANITIZE to
 # route the build through a sanitizer matrix instead of the default build,
@@ -21,9 +21,10 @@
 #   CLANG_TIDY=0     skip clang-tidy even if installed
 #   CPPCHECK=0       skip cppcheck even if installed
 #
-# Exit: non-zero if configure, build, ctest, or dlsbl_analyze fail. clang-tidy
-# and cppcheck results are reported but advisory (their availability varies
-# across machines; the gating analyses are compiled into the tree).
+# Exit: non-zero if configure, build, ctest, the scale run or dlsbl_analyze
+# fail. clang-tidy and cppcheck results are reported but advisory (their
+# availability varies across machines; the gating analyses are compiled into
+# the tree).
 set -euo pipefail
 
 cd "$(dirname "$0")/../.."
@@ -77,6 +78,18 @@ step "bench-regress (perf gate)"
 # the label here surfaces the tracker's report in its own stage so a perf
 # regression is legible in CI logs, not buried in the ctest summary.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L bench-regress
+
+step "scale run (m = 1024)"
+# One honest run at the m = 1024 scaling target, run to completion. A run is
+# Theta(m^2) messages at O(1) bookkeeping each: a few seconds on a 4-core
+# host. A Theta(m^3) slip in bid intake or payments takes about a minute
+# there and trips the timeout. Sanitized builds run several times slower
+# and get a longer budget.
+SCALE_W=$(awk 'BEGIN { for (i = 0; i < 1024; ++i) printf "%s%.2f", (i ? "," : ""), 1 + 0.01 * i }')
+SCALE_TIMEOUT=30
+[[ -n "$SANITIZE" ]] && SCALE_TIMEOUT=300
+timeout "$SCALE_TIMEOUT" "$BUILD_DIR/examples/dlsbl_cli" --w "$SCALE_W" --z 0.002 \
+    --blocks 4096 --seed 42 >/dev/null
 
 step "dlsbl_analyze"
 # The one static-analysis gate: per-file token rules, determinism taint
