@@ -5,23 +5,22 @@
 namespace dlsbl::protocol {
 
 void MessageDispatcher::on(MsgType type, Handler handler) {
-    handlers_[to_wire(type)] = std::move(handler);
+    const std::uint32_t wire = to_wire(type);
+    if (wire >= slots_.size()) slots_.resize(wire + 1);
+    slots_[wire] = Slot{true, std::move(handler)};
 }
 
-void MessageDispatcher::ignore(MsgType type) {
-    handlers_[to_wire(type)] = Handler{};
-}
+void MessageDispatcher::ignore(MsgType type) { on(type, Handler{}); }
 
 void MessageDispatcher::dispatch(const Endpoint& endpoint, const WireMessage& message,
                                  obs::MetricsRegistry& registry) const {
-    const auto it = handlers_.find(message.type);
-    if (it == handlers_.end()) {
+    if (message.type >= slots_.size() || !slots_[message.type].registered) {
         // Unknown wire type: identical policy on every endpoint — log, drop,
         // count. (All MsgType kinds are registered by both endpoints, so
         // this only fires for values outside the enum.)
         util::log_debug("protocol", endpoint.name() + ": dropping unknown message type " +
                                         std::to_string(message.type) + " from " +
-                                        message.from);
+                                        std::string(message.from));
         registry
             .counter(kUnknownMessagesMetric,
                      {{"endpoint", endpoint.name()},
@@ -29,7 +28,8 @@ void MessageDispatcher::dispatch(const Endpoint& endpoint, const WireMessage& me
             .inc();
         return;
     }
-    if (it->second) it->second(message);
+    const Handler& handler = slots_[message.type].handler;
+    if (handler) handler(message);
 }
 
 }  // namespace dlsbl::protocol

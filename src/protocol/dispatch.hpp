@@ -11,7 +11,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "protocol/endpoint.hpp"
@@ -33,14 +33,19 @@ class MessageDispatcher {
     // Marks `type` as known-but-ignored (explicit no-op).
     void ignore(MsgType type);
 
-    // Routes `message` to the registered handler. Unregistered wire types
-    // share the one policy both endpoints use: debug log + drop + counter
-    // on `registry`.
+    // Routes `message` to the registered handler: one bounds check and one
+    // index, no lookup. Unregistered wire types (values outside MsgType
+    // included) share the one policy both endpoints use: debug log + drop +
+    // counter on `registry`.
     void dispatch(const Endpoint& endpoint, const WireMessage& message,
                   obs::MetricsRegistry& registry) const;
 
  private:
-    std::map<std::uint32_t, Handler> handlers_;
+    struct Slot {
+        bool registered = false;
+        Handler handler;  // empty for ignore()
+    };
+    std::vector<Slot> slots_;  // indexed by wire type value
 };
 
 }  // namespace dlsbl::protocol
