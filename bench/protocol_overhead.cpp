@@ -136,7 +136,7 @@ double message_path_rate(std::size_t batch, std::size_t trials) {
             for (std::size_t i = 0; i < kEnvelopes; ++i) {
                 const auto view = protocol::wire::SignedMessageView::parse(envelopes[i]);
                 views.push_back(*view);
-                requests.push_back({&senders[i], view->payload, view->signature});
+                requests.push_back({senders[i], view->payload, view->signature});
             }
             std::vector<std::uint8_t> verdicts(kEnvelopes);
             static_assert(sizeof(bool) == 1);

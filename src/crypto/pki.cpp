@@ -78,7 +78,7 @@ void Pki::verify_many(std::span<const VerifyRequest> requests, bool* verdicts) c
     std::vector<const Entry*> entries(n, nullptr);
     for (std::size_t i = 0; i < n; ++i) {
         verdicts[i] = false;
-        auto it = entries_.find(*requests[i].signer);
+        auto it = entries_.find(requests[i].signer);
         if (it != entries_.end()) entries[i] = &it->second;
     }
 
@@ -124,7 +124,7 @@ void Pki::verify_many(std::span<const VerifyRequest> requests, bool* verdicts) c
         std::size_t total = 0;
         for (std::size_t i = 0; i < n; ++i) {
             if (!entries[i]) continue;
-            total += 16 + requests[i].signer->size() + requests[i].message.size() +
+            total += 16 + requests[i].signer.size() + requests[i].message.size() +
                      requests[i].signature.size();
         }
         std::vector<std::uint8_t> arena(total);
@@ -138,10 +138,10 @@ void Pki::verify_many(std::span<const VerifyRequest> requests, bool* verdicts) c
         for (std::size_t i = 0; i < n; ++i) {
             if (!entries[i]) continue;
             const std::size_t start = pos;
-            put_u64(requests[i].signer->size());
-            std::memcpy(arena.data() + pos, requests[i].signer->data(),
-                        requests[i].signer->size());
-            pos += requests[i].signer->size();
+            put_u64(requests[i].signer.size());
+            std::memcpy(arena.data() + pos, requests[i].signer.data(),
+                        requests[i].signer.size());
+            pos += requests[i].signer.size();
             put_u64(requests[i].message.size());
             std::memcpy(arena.data() + pos, requests[i].message.data(),
                         requests[i].message.size());

@@ -62,15 +62,15 @@ class Pki {
     [[nodiscard]] bool verify(std::string_view id, std::span<const std::uint8_t> message,
                               std::span<const std::uint8_t> signature) const;
 
-    // One element of a verify_many batch. `signer` must outlive the call;
-    // spans are borrowed, not copied.
+    // One element of a verify_many batch. The signer and the spans are
+    // borrowed, not copied: they must outlive the call.
     struct VerifyRequest {
-        const Identity* signer = nullptr;
+        std::string_view signer;
         std::span<const std::uint8_t> message;
         std::span<const std::uint8_t> signature;
     };
 
-    // Verifies a batch; verdicts[i] <- verify(*requests[i].signer, ...).
+    // Verifies a batch; verdicts[i] <- verify(requests[i].signer, ...).
     // Observably identical to calling verify() sequentially in request
     // order — verdicts, cache contents, and hit/miss statistics all
     // replay the sequential algorithm exactly — but distinct uncached

@@ -64,6 +64,12 @@ class RunContext {
     [[nodiscard]] std::optional<ProcId> proc_id(std::string_view name) const noexcept {
         return parse_proc_id(name, processor_count());
     }
+    // A message's sender as the driver mapped it at attach (no parse);
+    // nullopt for anything that is not one of this run's processors.
+    [[nodiscard]] std::optional<ProcId> sender_id(const WireMessage& message) const noexcept {
+        if (message.from_id && *message.from_id < processor_count()) return message.from_id;
+        return std::nullopt;
+    }
     // As proc_id, but an unknown name is a caller bug: throws out_of_range.
     [[nodiscard]] std::size_t index_of(const std::string& name) const;
 

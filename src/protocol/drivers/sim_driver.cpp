@@ -5,7 +5,10 @@
 // sim::Process adapter, so the event ordering, timing formulas and
 // trace/metrics records are exactly those of the pre-split runner (every
 // artifact pinned by digest in tests/test_protocol_golden.cpp).
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,22 +22,31 @@
 namespace dlsbl::protocol {
 namespace {
 
-// Presents an Endpoint to the network as a sim::Process; envelopes are
-// mirrored field-for-field into WireMessages.
+// A sender as the cores see it, mapped once when its endpoint attaches.
+struct Sender {
+    std::string_view name;  // the adapter's name: stable while the driver lives
+    std::optional<ProcId> id;
+};
+
+// Presents an Endpoint to the network as a sim::Process. An envelope becomes
+// a WireMessage that shares its payload buffer and takes the sender's name
+// and id from the driver's table, indexed by the envelope's sender.
 class EndpointProcess final : public sim::Process {
  public:
-    explicit EndpointProcess(Endpoint& endpoint)
-        : Process(endpoint.name()), endpoint_(endpoint) {}
+    EndpointProcess(Endpoint& endpoint, const std::vector<Sender>& senders)
+        : Process(endpoint.name()), endpoint_(endpoint), senders_(senders) {}
 
     void on_start() override { endpoint_.on_start(); }
     void on_message(const sim::Envelope& envelope) override {
-        endpoint_.on_message(WireMessage{envelope.from, envelope.to, envelope.type,
+        const Sender& sender = senders_[envelope.from];
+        endpoint_.on_message(WireMessage{sender.name, sender.id, envelope.type,
                                          envelope.payload, envelope.sent_at,
                                          envelope.span_id});
     }
 
  private:
     Endpoint& endpoint_;
+    const std::vector<Sender>& senders_;
 };
 
 class SimDriver final : public Driver, public Clock, public Transport {
@@ -47,9 +59,10 @@ class SimDriver final : public Driver, public Clock, public Transport {
         if (churn_plan_.enabled()) {
             network_.set_delivery_interceptor(
                 [this](const sim::Envelope& envelope, double now, bool redelivery) {
-                    const DeliveryRuling ruling =
-                        churn_ruling(churn_plan_, envelope.from, envelope.to,
-                                     envelope.type, envelope.sent_at, now, redelivery);
+                    const DeliveryRuling ruling = churn_ruling(
+                        churn_plan_, network_.name_of(envelope.from),
+                        network_.name_of(envelope.to), envelope.type, envelope.sent_at,
+                        now, redelivery);
                     sim::Network::DeliveryRuling out;
                     out.delay = ruling.delay;
                     out.note = ruling.note;
@@ -126,8 +139,13 @@ class SimDriver final : public Driver, public Clock, public Transport {
     [[nodiscard]] Transport& transport() override { return *this; }
 
     void attach(Endpoint& endpoint) override {
-        adapters_.push_back(std::make_unique<EndpointProcess>(endpoint));
+        adapters_.push_back(std::make_unique<EndpointProcess>(endpoint, senders_));
+        // The network indexes processes in attach order, as senders_ does.
         network_.attach(*adapters_.back());
+        // Processor names parse to their id; the cores still bound it by the
+        // run's processor count.
+        const std::string& name = adapters_.back()->name();
+        senders_.push_back({name, parse_proc_id(name, std::numeric_limits<ProcId>::max())});
     }
 
     void start() override { network_.start(); }
@@ -170,6 +188,7 @@ class SimDriver final : public Driver, public Clock, public Transport {
     std::uint64_t cut_ = 0;
     std::uint64_t delayed_ = 0;
     std::vector<std::unique_ptr<EndpointProcess>> adapters_;
+    std::vector<Sender> senders_;  // by sim::ProcessIndex (attach order)
 };
 
 }  // namespace

@@ -23,24 +23,31 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "protocol/config.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl::protocol {
 
 // A message as the cores see it: transport-neutral mirror of what crosses
-// the bus. `to` is empty for broadcasts; `span_id` carries the sender's
-// causal span (0 = untracked) so receivers can parent their own spans on it.
+// the bus. The driver maps the sender once, when it attaches: `from` views
+// its stable name table and `from_id` is the sender's processor id (nullopt
+// for the referee and the user). `payload` is shared by every recipient of
+// a broadcast, so a core that keeps the bytes keeps a reference, not a
+// copy. `span_id` carries the sender's causal span (0 = untracked) so
+// receivers can parent their own spans on it.
 struct WireMessage {
-    std::string from;
-    std::string to;
+    std::string_view from;
+    std::optional<ProcId> from_id;
     std::uint32_t type = 0;
-    util::Bytes payload;
+    util::SharedBytes payload;
     double sent_at = 0.0;
     std::uint64_t span_id = 0;
 };

@@ -14,6 +14,11 @@ namespace {
 // Deliberately outside the MsgType range: junk-spammer noise that every
 // conforming endpoint must drop (and count on the unknown-messages metric).
 constexpr std::uint32_t kJunkWireType = 9999;
+
+// The signed envelope in a bid-table buffer (validated when taken in).
+wire::SignedMessageView held_envelope(const util::SharedBytes& buffer) {
+    return *wire::SignedMessageView::parse(*buffer);
+}
 }  // namespace
 
 NodeCore::NodeCore(RunContext& context, std::size_t index,
@@ -79,10 +84,11 @@ void NodeCore::on_start() {
                 // fresh signature would be a *different* payload (one-time
                 // signature keys) and read as offense (i). Peers dedup the
                 // identical copy; the referee's first-bid-wins rule too.
-                if (ctx_.terminated() || bid_payload_.empty()) return;
+                const util::SharedBytes& own_bid = first_bids_[index_];
+                if (ctx_.terminated() || !own_bid) return;
                 ctx_.transport().note_churn(ctx_.clock().now(), name(),
                                             "stale-rejoin replay=bid");
-                ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), bid_payload_);
+                ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), *own_bid);
             });
         }
     }
@@ -95,10 +101,10 @@ void NodeCore::broadcast_bid(double value) {
     body.bid = value;
     const auto signed_msg = crypto::sign_message(*signer_, name(), wire::flat_encode(body));
     auto envelope = wire::flat_encode(signed_msg);
-    if (bid_payload_.empty()) bid_payload_ = envelope;
-    // The node records its own (first) bid the same way it records peers'.
+    // The node records its own (first) bid the same way it records peers';
+    // a churn stale rejoin replays it verbatim.
     if (!first_bids_[index_]) {
-        first_bids_[index_] = std::make_unique<crypto::SignedMessage>(signed_msg);
+        first_bids_[index_] = util::share(envelope);
         bid_values_[index_] = value;
         bid_tally_.record(static_cast<ProcId>(index_));
         maybe_finish_bidding();
@@ -119,9 +125,9 @@ void NodeCore::on_message(const WireMessage& message) {
 void NodeCore::handle_bid(const WireMessage& message) {
     // Only processors bid: any other signer (the user's key, say) is dropped
     // here, before it can enter the bid set and hold the round open.
-    const auto from = ctx_.proc_id(message.from);
+    const auto from = ctx_.sender_id(message);
     if (!from) return;
-    const auto view = wire::SignedMessageView::parse(message.payload);
+    const auto view = wire::SignedMessageView::parse(*message.payload);
     if (!view) return;  // malformed: discarded (§4 Bidding)
     if (view->signer != message.from) return;
 
@@ -134,17 +140,15 @@ void NodeCore::handle_bid(const WireMessage& message) {
         const auto& existing = first_bids_[*from];
         const bool conflict =
             pending_bids_.conflicts(*from, view->payload) ||
-            (existing && !(existing->payload.size() == view->payload.size() &&
-                           std::equal(existing->payload.begin(), existing->payload.end(),
-                                      view->payload.begin())));
-        pending_bids_.push(*from, view->to_owned());
+            (existing && !std::ranges::equal(held_envelope(existing).payload, view->payload));
+        pending_bids_.push(*from, message.payload, *view);
         bid_tally_.queued(*from);
         if (pending_bids_.full() || conflict || bid_set_possibly_complete()) {
             flush_pending_bids();
         }
         return;
     }
-    apply_bid(*from, view->to_owned(), view->verify(ctx_.pki()));
+    apply_bid(*from, message.payload, *view, view->verify(ctx_.pki()));
 }
 
 bool NodeCore::bid_set_possibly_complete() const {
@@ -153,14 +157,16 @@ bool NodeCore::bid_set_possibly_complete() const {
 }
 
 void NodeCore::flush_pending_bids() {
-    pending_bids_.flush(ctx_.pki(), [this](ProcId from, const crypto::SignedMessage& envelope,
+    pending_bids_.flush(ctx_.pki(), [this](ProcId from, const util::SharedBytes& buffer,
+                                           const wire::SignedMessageView& envelope,
                                            bool verified) {
-        apply_bid(from, envelope, verified);
+        apply_bid(from, buffer, envelope, verified);
         bid_tally_.replayed(from);
     });
 }
 
-void NodeCore::apply_bid(ProcId from, const crypto::SignedMessage& envelope, bool verified) {
+void NodeCore::apply_bid(ProcId from, const util::SharedBytes& buffer,
+                         const wire::SignedMessageView& envelope, bool verified) {
     if (!verified) return;  // fails verification: discarded
     const std::string& sender = ctx_.processor_names()[from];
     const auto body = wire::BidView::parse(envelope.payload);
@@ -168,33 +174,35 @@ void NodeCore::apply_bid(ProcId from, const crypto::SignedMessage& envelope, boo
 
     auto& existing = first_bids_[from];
     if (existing) {
-        if (existing->payload == envelope.payload) return;  // duplicate copy
+        const wire::SignedMessageView first = held_envelope(existing);
+        if (std::ranges::equal(first.payload, envelope.payload)) return;  // duplicate copy
         // Offense (i): two authenticated, different bids from one sender.
         if (strategy_.report_deviations && !accused_double_bid_) {
             accused_double_bid_ = true;
             DoubleBidEvidence evidence;
             evidence.accused = sender;
-            evidence.first = *existing;
-            evidence.second = envelope;
+            evidence.first = first.to_owned();
+            evidence.second = envelope.to_owned();
             ctx_.transport().unicast(name(), ctx_.referee_name(),
                                      to_wire(MsgType::kAccuseDoubleBid),
                                      wire::flat_encode(evidence));
         }
         return;
     }
-    existing = std::make_unique<crypto::SignedMessage>(envelope);
+    existing = buffer;
     bid_values_[from] = body->bid;
     bid_tally_.record(from);
     maybe_false_accuse(envelope);
     maybe_finish_bidding();
 }
 
-void NodeCore::maybe_false_accuse(const crypto::SignedMessage& genuine) {
+void NodeCore::maybe_false_accuse(const wire::SignedMessageView& genuine_view) {
     if (!strategy_.false_accuse || false_accused_) return;
     false_accused_ = true;
     // Offense (v): fabricate a "second bid" by mutating the genuine payload.
     // The signature no longer matches, so the referee will find the claim
     // unfounded and fine the accuser.
+    const crypto::SignedMessage genuine = genuine_view.to_owned();
     crypto::SignedMessage forged = genuine;
     const auto view = wire::BidView::parse(forged.payload);
     if (!view) return;
@@ -317,7 +325,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         // A churn reallocation: the LO shipped part of the dead processor's
         // undone range. Verified and executed as a second meter segment,
         // accounted separately from the primary assignment.
-        const auto extra_batch = wire::LoadBatchView::parse(message.payload);
+        const auto extra_batch = wire::LoadBatchView::parse(*message.payload);
         if (!extra_batch) return;
         const obs::SpanContext verify_span = ctx_.spans().open(
             "verify_blocks", name(), ctx_.clock().now(),
@@ -341,7 +349,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         }
         return;
     }
-    const auto batch = wire::LoadBatchView::parse(message.payload);
+    const auto batch = wire::LoadBatchView::parse(*message.payload);
     if (!batch) return;
     // Verification parents on the delivery's ship span when it carried one,
     // so the catapult view shows LO ship -> bus transfer -> receiver verify.
@@ -422,7 +430,7 @@ void NodeCore::begin_processing(std::size_t blocks) {
 
 void NodeCore::handle_meter_broadcast(const WireMessage& message) {
     flush_pending_bids();  // the payment computation reads bid_values_
-    const auto view = wire::MeterVectorView::parse(message.payload);
+    const auto view = wire::MeterVectorView::parse(*message.payload);
     if (!view || message.from != ctx_.referee_name()) return;
 
     if (ctx_.churn_enabled()) {
@@ -501,7 +509,7 @@ void NodeCore::handle_bid_vector_request() {
     body.submitter = name();
     for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
         if (!first_bids_[i]) continue;
-        crypto::SignedMessage entry = *first_bids_[i];
+        crypto::SignedMessage entry = held_envelope(first_bids_[i]).to_owned();
         if (strategy_.tamper_bid_vector && i == index_) {
             // Offense (iv): alter own bid and re-sign — a *valid* signature
             // over a value inconsistent with what everyone else holds,
@@ -523,7 +531,7 @@ void NodeCore::handle_bid_vector_request() {
 
 void NodeCore::handle_mediate_request(const WireMessage& message) {
     flush_pending_bids();  // mediation replies are observable emissions
-    const auto request = wire::MediateRequestView::parse(message.payload);
+    const auto request = wire::MediateRequestView::parse(*message.payload);
     if (!request || !is_load_origin()) return;
     if (strategy_.lo_refuse_mediation) {
         util::ByteWriter w;
@@ -550,7 +558,7 @@ void NodeCore::handle_mediate_request(const WireMessage& message) {
 void NodeCore::handle_exclude(const WireMessage& message) {
     if (!ctx_.churn_enabled() || message.from != ctx_.referee_name()) return;
     flush_pending_bids();  // exclusion shrinks the active set the queue gates on
-    const auto body = wire::ExcludeView::parse(message.payload);
+    const auto body = wire::ExcludeView::parse(*message.payload);
     if (!body || body->job_id != ctx_.job_id()) return;
     wire::Cursor excluded_names = body->excluded;
     for (std::uint64_t k = 0; k < body->excluded_count; ++k) {
@@ -569,7 +577,7 @@ void NodeCore::handle_exclude(const WireMessage& message) {
 void NodeCore::handle_realloc(const WireMessage& message) {
     if (!ctx_.churn_enabled() || message.from != ctx_.referee_name()) return;
     flush_pending_bids();  // reallocation reads the finished-bidding state
-    const auto body = wire::ReallocView::parse(message.payload);
+    const auto body = wire::ReallocView::parse(*message.payload);
     if (!body || body->job_id != ctx_.job_id()) return;
     if (excluded_self_ || !bidding_finished_) return;
     realloc_dead_ = std::string(body->dead);

@@ -57,7 +57,8 @@ class NodeCore final : public Endpoint {
     // Post-verification bid intake (record / dedup / accuse / finish) —
     // runs eagerly per arrival, or replayed in arrival order by a queue
     // flush; the two schedules are byte-identical (see verify_queue.hpp).
-    void apply_bid(ProcId from, const crypto::SignedMessage& envelope, bool verified);
+    void apply_bid(ProcId from, const util::SharedBytes& buffer,
+                   const wire::SignedMessageView& envelope, bool verified);
     // Conservative structural test: could recording the pending envelopes
     // complete the active bid set? (Completion is the only verdict-
     // dependent observable that isn't a conflict.) O(1) on bid_tally_.
@@ -78,7 +79,7 @@ class NodeCore final : public Endpoint {
     void handle_mediate_request(const WireMessage& message);
     void file_complaint(AllocComplaintKind kind, std::size_t expected, std::size_t received,
                         std::vector<Block> held);
-    void maybe_false_accuse(const crypto::SignedMessage& genuine);
+    void maybe_false_accuse(const wire::SignedMessageView& genuine);
 
     RunContext& ctx_;
     std::size_t index_;
@@ -91,13 +92,14 @@ class NodeCore final : public Endpoint {
     double exec_rate_ = 0.0;
 
     // Bid state, indexed by the sender's ProcId. first_bids_ holds the first
-    // valid signed bid per sender; a second, different valid bid from the
-    // same sender is offense (i) evidence. Slots are heap cells filled as
-    // bids arrive: m in-place SignedMessages per node, allocated up front,
-    // would raise the run's peak memory. bid_values_ is the bid's value (0
-    // until recorded). bid_tally_ counts recorded, queued and excluded
-    // senders.
-    std::vector<std::unique_ptr<crypto::SignedMessage>> first_bids_;
+    // valid signed bid per sender as the flat envelope buffer it arrived in,
+    // shared with the broadcast's other recipients: payload bytes are one
+    // buffer per bid per run, and each node keeps only a reference per
+    // sender (the views are re-parsed on the rare paths that read them).
+    // A second, different valid bid from the same sender is offense (i)
+    // evidence. bid_values_ is the bid's value (0 until recorded).
+    // bid_tally_ counts recorded, queued and excluded senders.
+    std::vector<util::SharedBytes> first_bids_;
     std::vector<double> bid_values_;
     // Arrival-order intake queue for deferred bid verification
     // (config.verify_batch envelopes per Pki::verify_many flush).
@@ -122,7 +124,6 @@ class NodeCore final : public Endpoint {
     bool settled_ = false;
 
     // --- churn state (untouched outside churn mode) --------------------------
-    util::Bytes bid_payload_;            // first signed bid, stored for stale replay
     bool excluded_self_ = false;
     std::size_t extra_pending_ = 0;      // reallocated blocks awaiting delivery
     std::size_t extra_received_ = 0;

@@ -109,9 +109,9 @@ void RefereeCore::on_message(const WireMessage& message) {
 void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
     flush_deferred();  // verdict bytes must not depend on queued envelopes
     if (verdict_issued_) return;
-    const auto evidence = wire::DoubleBidEvidenceView::parse(message.payload);
+    const auto evidence = wire::DoubleBidEvidenceView::parse(*message.payload);
     if (!evidence) return;
-    const std::string& accuser = message.from;
+    const std::string accuser{message.from};
     const std::string accused{evidence->accused};
 
     // Substantiated iff: both messages carry valid signatures of `accused`,
@@ -147,7 +147,7 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
 void RefereeCore::handle_alloc_complaint(const WireMessage& message) {
     flush_deferred();  // dispute handling emits observable requests
     if (verdict_issued_ || stage_ != DisputeStage::kNone) return;
-    const auto complaint = wire::AllocComplaintView::parse(message.payload);
+    const auto complaint = wire::AllocComplaintView::parse(*message.payload);
     if (!complaint || complaint->complainant != message.from) return;
     if (message.from == ctx_.load_origin()) return;  // the LO cannot complain about itself
 
@@ -169,11 +169,12 @@ void RefereeCore::handle_bid_vector_response(const WireMessage& message) {
         stage_ != DisputeStage::kPaymentAwaitingBidVectors) {
         return;
     }
-    const auto body = wire::BidVectorView::parse(message.payload);
+    const auto body = wire::BidVectorView::parse(*message.payload);
     if (!body || body->submitter != message.from) return;
-    if (!bid_vector_expected_.contains(message.from)) return;
+    const std::string submitter{message.from};
+    if (!bid_vector_expected_.contains(submitter)) return;
     // Responses are held whole until every requested vector has arrived.
-    bid_vector_responses_[message.from] = body->to_owned();
+    bid_vector_responses_[submitter] = body->to_owned();
     if (bid_vector_responses_.size() != bid_vector_expected_.size()) return;
 
     const std::set<std::string> deviants = validate_bid_vectors();
@@ -229,7 +230,7 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
     if (ctx_.config().verify_batch > 1) {
         std::vector<crypto::Pki::VerifyRequest> requests(screened.size());
         for (std::size_t i = 0; i < screened.size(); ++i) {
-            requests[i] = {&screened[i].entry->signer, screened[i].entry->payload,
+            requests[i] = {screened[i].entry->signer, screened[i].entry->payload,
                            screened[i].entry->signature};
         }
         ctx_.pki().verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
@@ -355,7 +356,7 @@ void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
     flush_deferred();  // every branch below issues a verdict
     if (stage_ != DisputeStage::kAllocAwaitingMediation) return;
     if (message.from != ctx_.load_origin()) return;
-    const auto batch = wire::LoadBatchView::parse(message.payload);
+    const auto batch = wire::LoadBatchView::parse(*message.payload);
     const std::string& lo = ctx_.load_origin();
     if (!batch) {
         count_accusation("allocation", /*substantiated=*/true);
@@ -420,9 +421,9 @@ void RefereeCore::on_all_meters_done() {
 
 void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (settled_ || verdict_issued_) return;
-    const auto from = ctx_.proc_id(message.from);
+    const auto from = ctx_.sender_id(message);
     if (!from) return;  // only processors submit payment vectors
-    const auto view = wire::SignedMessageView::parse(message.payload);
+    const auto view = wire::SignedMessageView::parse(*message.payload);
     if (!view || view->signer != message.from) return;
 
     // Deferred intake: submissions accumulate unverified; the flush — at
@@ -430,7 +431,7 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     // replays arrival order, so discards and the evaluation schedule land
     // exactly where eager verification would put them.
     if (ctx_.config().verify_batch > 1) {
-        pending_payments_.push(*from, view->to_owned());
+        pending_payments_.push(*from, message.payload, *view);
         payment_tally_.queued(*from);
         if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
         return;
@@ -438,7 +439,7 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (!view->verify(ctx_.pki())) {
         return;  // unauthenticated submissions are discarded
     }
-    apply_payment(*from, view->to_owned(), true);
+    apply_payment(*from, *view, true);
 }
 
 bool RefereeCore::payment_quorum_possible() const {
@@ -449,7 +450,7 @@ bool RefereeCore::payment_quorum_possible() const {
     return payment_tally_.active_covered() >= quorum;
 }
 
-void RefereeCore::apply_payment(ProcId id, const crypto::SignedMessage& envelope,
+void RefereeCore::apply_payment(ProcId id, const wire::SignedMessageView& envelope,
                                 bool verified) {
     if (!verified) return;  // unauthenticated submissions are discarded
     const std::string& from = ctx_.processor_names()[id];
@@ -458,7 +459,7 @@ void RefereeCore::apply_payment(ProcId id, const crypto::SignedMessage& envelope
     if (body->payment_count != ctx_.processor_count()) return;
 
     payment_tally_.record(id);
-    payment_payloads_[from].push_back(envelope.payload);
+    payment_payloads_[from].emplace_back(envelope.payload.begin(), envelope.payload.end());
     auto& values = payment_values_[from];
     values.clear();
     values.reserve(body->payment_count);
@@ -737,15 +738,15 @@ void RefereeCore::finalize_termination_payouts() {
 // ---- churn machinery (DESIGN.md "Churn model") ------------------------------
 
 void RefereeCore::handle_churn_bid(const WireMessage& message) {
-    const auto from = ctx_.proc_id(message.from);
+    const auto from = ctx_.sender_id(message);
     if (!from) return;  // only processors bid
-    const auto view = wire::SignedMessageView::parse(message.payload);
+    const auto view = wire::SignedMessageView::parse(*message.payload);
     if (!view || view->signer != message.from) return;
     // Deferred intake: the churn recorder is first-bid-wins after
     // verification and emits nothing until the bidder set is complete, so
     // only possible completion (or the batch limit) forces a flush.
     if (ctx_.config().verify_batch > 1) {
-        pending_churn_bids_.push(*from, view->to_owned());
+        pending_churn_bids_.push(*from, message.payload, *view);
         churn_bid_tally_.queued(*from);
         if (pending_churn_bids_.full() || churn_bid_set_possibly_complete()) {
             flush_deferred();
@@ -753,7 +754,7 @@ void RefereeCore::handle_churn_bid(const WireMessage& message) {
         return;
     }
     if (!view->verify(ctx_.pki())) return;
-    apply_churn_bid(*from, view->to_owned(), true);
+    apply_churn_bid(*from, *view, true);
 }
 
 bool RefereeCore::churn_bid_set_possibly_complete() const {
@@ -761,7 +762,7 @@ bool RefereeCore::churn_bid_set_possibly_complete() const {
            churn_bid_tally_.active_covered() == ctx_.processor_count();
 }
 
-void RefereeCore::apply_churn_bid(ProcId id, const crypto::SignedMessage& envelope,
+void RefereeCore::apply_churn_bid(ProcId id, const wire::SignedMessageView& envelope,
                                   bool verified) {
     if (!verified) return;
     const std::string& from = ctx_.processor_names()[id];
@@ -781,14 +782,14 @@ void RefereeCore::apply_churn_bid(ProcId id, const crypto::SignedMessage& envelo
 void RefereeCore::flush_deferred() {
     // Churn bids always precede payment vectors in a round, so replaying
     // the bid queue first preserves global arrival order across queues.
-    pending_churn_bids_.flush(ctx_.pki(), [this](ProcId from,
-                                                 const crypto::SignedMessage& envelope,
+    pending_churn_bids_.flush(ctx_.pki(), [this](ProcId from, const util::SharedBytes&,
+                                                 const wire::SignedMessageView& envelope,
                                                  bool verified) {
         apply_churn_bid(from, envelope, verified);
         churn_bid_tally_.replayed(from);
     });
-    pending_payments_.flush(ctx_.pki(), [this](ProcId from,
-                                               const crypto::SignedMessage& envelope,
+    pending_payments_.flush(ctx_.pki(), [this](ProcId from, const util::SharedBytes&,
+                                               const wire::SignedMessageView& envelope,
                                                bool verified) {
         apply_payment(from, envelope, verified);
         payment_tally_.replayed(from);

@@ -97,8 +97,8 @@ class RefereeCore final : public Endpoint {
     // arrivals (churn bids, payment vectors) park unverified and flush in
     // arrival order through Pki::verify_many before any observable action.
     void flush_deferred();
-    void apply_churn_bid(ProcId from, const crypto::SignedMessage& envelope, bool verified);
-    void apply_payment(ProcId from, const crypto::SignedMessage& envelope, bool verified);
+    void apply_churn_bid(ProcId from, const wire::SignedMessageView& envelope, bool verified);
+    void apply_payment(ProcId from, const wire::SignedMessageView& envelope, bool verified);
     [[nodiscard]] bool churn_bid_set_possibly_complete() const;
     [[nodiscard]] bool payment_quorum_possible() const;
 

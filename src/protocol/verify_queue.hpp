@@ -26,14 +26,19 @@
 
 #include "crypto/pki.hpp"
 #include "protocol/config.hpp"
+#include "protocol/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace dlsbl::protocol {
 
 class VerifyQueue {
  public:
+    // A queued envelope: views into the received buffer, which the item
+    // shares rather than copies.
     struct Item {
-        ProcId from;                     // transport-level sender
-        crypto::SignedMessage envelope;  // owned copy; queue outlives the frame
+        ProcId from;                       // transport-level sender
+        util::SharedBytes buffer;          // keeps `envelope` valid
+        wire::SignedMessageView envelope;  // views into *buffer
     };
 
     explicit VerifyQueue(std::size_t batch_limit) noexcept
@@ -50,22 +55,18 @@ class VerifyQueue {
                                  std::span<const std::uint8_t> payload) const noexcept {
         for (const auto& item : items_) {
             if (item.from != from) continue;
-            const auto& held = item.envelope.payload;
-            if (held.size() != payload.size() ||
-                !std::equal(held.begin(), held.end(), payload.begin())) {
-                return true;
-            }
+            if (!std::ranges::equal(item.envelope.payload, payload)) return true;
         }
         return false;
     }
 
-    void push(ProcId from, crypto::SignedMessage envelope) {
-        items_.push_back({from, std::move(envelope)});
+    void push(ProcId from, util::SharedBytes buffer, const wire::SignedMessageView& envelope) {
+        items_.push_back({from, std::move(buffer), envelope});
     }
 
     // Verifies everything queued (one Pki::verify_many batch) and invokes
-    // apply(from, envelope, verified) per item in arrival order. Reentrant
-    // pushes during apply() land in the next batch.
+    // apply(from, buffer, envelope, verified) per item in arrival order.
+    // Reentrant pushes during apply() land in the next batch.
     template <typename Apply>
     void flush(const crypto::Pki& pki, Apply&& apply) {
         if (items_.empty()) return;
@@ -73,7 +74,7 @@ class VerifyQueue {
         batch.swap(items_);
         std::vector<crypto::Pki::VerifyRequest> requests(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            requests[i] = {&batch[i].envelope.signer, batch[i].envelope.payload,
+            requests[i] = {batch[i].envelope.signer, batch[i].envelope.payload,
                            batch[i].envelope.signature};
         }
         // vector<bool> has no data(); byte-backed verdicts instead.
@@ -81,7 +82,7 @@ class VerifyQueue {
         static_assert(sizeof(bool) == 1);
         pki.verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            apply(batch[i].from, batch[i].envelope, verdicts[i] != 0);
+            apply(batch[i].from, batch[i].buffer, batch[i].envelope, verdicts[i] != 0);
         }
     }
 

@@ -1,5 +1,6 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dlsbl::sim {
@@ -8,16 +9,15 @@ void Simulator::schedule_at(double time, Callback fn) {
     if (!std::isfinite(time)) throw std::invalid_argument("Simulator: non-finite time");
     if (time < now_) throw std::invalid_argument("Simulator: scheduling into the past");
     if (!fn) throw std::invalid_argument("Simulator: empty callback");
-    queue_.push(Event{time, next_seq_++, std::move(fn)});
+    heap_.push_back(Event{time, next_seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Simulator::step() {
-    if (queue_.empty()) return false;
-    // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-    // so copy the callback handle (shared state stays cheap via std::function
-    // small-object or ref-counted captures).
-    Event event = queue_.top();
-    queue_.pop();
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
     now_ = event.time;
     ++fired_;
     event.fn();

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -28,12 +27,15 @@ class Simulator {
 
     // Runs events until the queue drains (or `max_events` fire — a runaway
     // guard; exceeding it throws, since a correct protocol run terminates).
+    // A callback counts once however much it does: a network broadcast is
+    // one event for all of its recipients.
     void run(std::uint64_t max_events = 10'000'000);
 
-    // Fires the single next event; returns false when the queue is empty.
+    // Fires the single next event, moved out of the queue (its callback is
+    // never copied); returns false when the queue is empty.
     bool step();
 
-    [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
     [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
  private:
@@ -52,7 +54,9 @@ class Simulator {
     double now_ = 0.0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t fired_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    // Binary min-heap under Later (std::push_heap / std::pop_heap), kept as a
+    // plain vector so step() can move the popped event out.
+    std::vector<Event> heap_;
 };
 
 }  // namespace dlsbl::sim

@@ -6,15 +6,26 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dlsbl::util {
 
 using Bytes = std::vector<std::uint8_t>;
+
+// An immutable buffer shared by every holder — all recipients of one
+// broadcast and the bid tables that keep it: one allocation, any number of
+// readers.
+using SharedBytes = std::shared_ptr<const Bytes>;
+
+inline SharedBytes share(Bytes bytes) {
+    return std::make_shared<const Bytes>(std::move(bytes));
+}
 
 std::string to_hex(std::span<const std::uint8_t> data);
 Bytes from_hex(std::string_view hex);

@@ -315,7 +315,7 @@ TEST(CryptoBatch, PkiVerifyManyMatchesSequentialVerifyAndStats) {
         if (batched) {
             std::vector<Pki::VerifyRequest> requests(signers.size());
             for (std::size_t i = 0; i < signers.size(); ++i) {
-                requests[i] = {&signers[i], payloads[i], signatures[i]};
+                requests[i] = {signers[i], payloads[i], signatures[i]};
             }
             pki.verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
         } else {

@@ -1,7 +1,7 @@
 // Unit tests for the protocol's building blocks: data blocks, the ledger,
 // the meter bank, the wire-message codec, dense processor ids, the intake
-// tally, and a node's bid intake driven by hand through a minimal
-// Clock/Transport.
+// tally, a node's bid intake driven by hand through a minimal
+// Clock/Transport, and the sim driver's delivery of one broadcast.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "protocol/blocks.hpp"
 #include "protocol/context.hpp"
+#include "protocol/drivers/drivers.hpp"
 #include "protocol/ledger.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/meter.hpp"
@@ -358,17 +359,19 @@ ProtocolConfig three_processors(std::size_t verify_batch) {
     return config;
 }
 
-WireMessage signed_bid(RunContext& context, crypto::Signer& signer, const std::string& who,
+// `who` must outlive the message: WireMessage::from views it.
+WireMessage signed_bid(RunContext& context, crypto::Signer& signer, std::string_view who,
                        double value) {
     BidBody body;
     body.job_id = context.job_id();
-    body.processor = who;
+    body.processor = std::string(who);
     body.bid = value;
     WireMessage message;
     message.from = who;
+    message.from_id = context.proc_id(who);
     message.type = to_wire(MsgType::kBid);
-    message.payload =
-        wire::flat_encode(crypto::sign_message(signer, who, wire::flat_encode(body)));
+    message.payload = util::share(wire::flat_encode(
+        crypto::sign_message(signer, std::string(who), wire::flat_encode(body))));
     return message;
 }
 
@@ -396,6 +399,69 @@ TEST(NodeIntake, BidFromNonProcessorKeyIsDroppedAndTheRoundCloses) {
         EXPECT_GT(node.blocks_assigned(), 0u) << "batch " << batch;
         EXPECT_EQ(context.phase(), Phase::kAllocating) << "batch " << batch;
     }
+}
+
+// A bid's bytes exist once per run: the node keeps a reference to the buffer
+// it was delivered in, on the eager and on the queued path alike.
+TEST(NodeIntake, KeepsTheDeliveredBidBufferNotACopy) {
+    for (const std::size_t batch : {std::size_t{16}, std::size_t{1}}) {
+        StillClock clock;
+        CountingTransport transport;
+        RunContext context(clock, transport, three_processors(batch));
+        const auto kFast = crypto::SignatureAlgorithm::kFast;
+        auto p1 = crypto::make_registered_signer(context.pki(), "P1", 1, kFast);
+        auto p2 = crypto::make_registered_signer(context.pki(), "P2", 2, kFast);
+        auto p3 = crypto::make_registered_signer(context.pki(), "P3", 3, kFast);
+
+        NodeCore node(context, 1, std::move(p2), Strategy{});
+        node.on_start();
+        const WireMessage bid1 = signed_bid(context, *p1, "P1", 1.0);
+        const WireMessage bid3 = signed_bid(context, *p3, "P3", 1.5);
+        node.on_message(bid1);
+        node.on_message(bid3);
+        ASSERT_EQ(node.allocation().size(), 3u) << "batch " << batch;
+        // One reference here, one in the node's bid table: no copy.
+        EXPECT_EQ(bid1.payload.use_count(), 2) << "batch " << batch;
+        EXPECT_EQ(bid3.payload.use_count(), 2) << "batch " << batch;
+    }
+}
+
+// Records what the sim driver hands an endpoint.
+class Inbox final : public Endpoint {
+ public:
+    explicit Inbox(std::string name) : Endpoint(std::move(name)) {}
+    void on_message(const WireMessage& message) override { received.push_back(message); }
+    std::vector<WireMessage> received;
+};
+
+// The sim driver turns one broadcast into one WireMessage per recipient, all
+// sharing the one payload buffer, with the sender's name and id mapped once
+// at attach (no id for the referee).
+TEST(SimDriver, BroadcastSharesOnePayloadAndMapsTheSender) {
+    auto driver = make_sim_driver(0.5, 0.0, 0.0);
+    Inbox referee("referee"), p1("P1"), p2("P2"), p10("P10");
+    for (Inbox* inbox : {&referee, &p1, &p2, &p10}) driver->attach(*inbox);
+    driver->transport().broadcast("P2", 7, util::to_bytes("bid"));
+    driver->transport().unicast("referee", "P1", 8, util::to_bytes("meters"));
+    driver->run();
+
+    ASSERT_EQ(referee.received.size(), 1u);
+    ASSERT_EQ(p10.received.size(), 1u);
+    ASSERT_EQ(p1.received.size(), 2u);
+    EXPECT_TRUE(p2.received.empty());
+    const util::SharedBytes& shared = referee.received[0].payload;
+    EXPECT_EQ(*shared, util::to_bytes("bid"));
+    EXPECT_EQ(p1.received[0].payload.get(), shared.get());
+    EXPECT_EQ(p10.received[0].payload.get(), shared.get());
+    EXPECT_EQ(shared.use_count(), 3);  // the three inboxes; the bus let go
+    for (const Inbox* inbox : {&referee, &p1, &p10}) {
+        EXPECT_EQ(inbox->received[0].from, "P2");
+        EXPECT_EQ(inbox->received[0].from_id, std::optional<ProcId>{1});
+        EXPECT_EQ(inbox->received[0].type, 7u);
+    }
+    EXPECT_EQ(p1.received[1].from, "referee");
+    EXPECT_EQ(p1.received[1].from_id, std::nullopt);
+    EXPECT_EQ(*p1.received[1].payload, util::to_bytes("meters"));
 }
 
 // Every payment computation of a run asks the context for its mechanism:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace dlsbl::sim {
@@ -83,6 +84,38 @@ TEST(Kernel, EventsFiredCounts) {
     sim.run();
     EXPECT_EQ(sim.events_fired(), 5u);
     EXPECT_EQ(sim.pending(), 0u);
+}
+
+// A capture that counts how often it is copied (moves are free).
+struct CopyCounter {
+    explicit CopyCounter(int& copies) : copies(&copies) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+    CopyCounter(CopyCounter&&) noexcept = default;
+    CopyCounter& operator=(const CopyCounter& other) {
+        copies = other.copies;
+        ++*copies;
+        return *this;
+    }
+    CopyCounter& operator=(CopyCounter&&) noexcept = default;
+    ~CopyCounter() = default;
+    int* copies;
+};
+
+TEST(Kernel, StepMovesTheCallbackOut) {
+    Simulator sim;
+    int copies = 0;
+    int fired = 0;
+    // Enough events that the heap's storage grows and reorders several times.
+    for (int i = 0; i < 100; ++i) {
+        sim.schedule_at(static_cast<double>(100 - i),
+                        [counter = CopyCounter(copies), &fired] {
+                            (void)counter;
+                            ++fired;
+                        });
+    }
+    sim.run();
+    EXPECT_EQ(fired, 100);
+    EXPECT_EQ(copies, 0);
 }
 
 }  // namespace
