@@ -4,10 +4,6 @@ namespace dlsbl::protocol::wire {
 
 namespace {
 
-// Upper bound on any repeated-field count; larger counts are rejected
-// before the elements are walked.
-constexpr std::uint64_t kSanityCap = 1 << 20;
-
 // One length-prefixed signed envelope; the nested record must be consumed
 // exactly.
 std::optional<SignedMessageView> take_signed(Cursor& c) {

@@ -170,6 +170,12 @@ class FlatWriter {
     return 8 + payload;
 }
 
+// Upper bound on any repeated-field count; larger counts are rejected
+// before the elements are walked. It sits far above every count a run
+// sends (m entries at most; tests/test_fuzz_codecs.cpp parses m = 2048
+// bodies and pins the rejection just past the cap).
+inline constexpr std::uint64_t kSanityCap = 1 << 20;
+
 // ---- views -----------------------------------------------------------------
 //
 // One view struct per wire body, parsed with zero copies. parse() returns
