@@ -63,6 +63,10 @@ std::vector<Scalar> solve_linear_system_generic(std::vector<Scalar> a,
             if (a[row * n + col] == zero) continue;
             const Scalar factor = a[row * n + col] / a[col * n + col];
             for (std::size_t k = col; k < n; ++k) {
+                // Subtracting factor * 0 is the identity for exact scalars:
+                // skip structural zeros (the Theorem 2.1 system is
+                // bidiagonal plus one dense row).
+                if (a[col * n + k] == zero) continue;
                 a[row * n + k] = a[row * n + k] - factor * a[col * n + k];
             }
             b[row] = b[row] - factor * b[col];
@@ -71,7 +75,10 @@ std::vector<Scalar> solve_linear_system_generic(std::vector<Scalar> a,
     std::vector<Scalar> x(n, zero);
     for (std::size_t row = n; row-- > 0;) {
         Scalar acc = b[row];
-        for (std::size_t k = row + 1; k < n; ++k) acc = acc - a[row * n + k] * x[k];
+        for (std::size_t k = row + 1; k < n; ++k) {
+            if (a[row * n + k] == zero) continue;
+            acc = acc - a[row * n + k] * x[k];
+        }
         x[row] = acc / a[row * n + row];
     }
     return x;

@@ -1,5 +1,6 @@
 #include "util/rational.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -112,6 +113,16 @@ std::string Rational::to_string() const {
     return num_.to_string() + "/" + den_.to_string();
 }
 
-double Rational::to_double() const { return num_.to_double() / den_.to_double(); }
+double Rational::to_double() const {
+    // Numerator and denominator can each overflow a double (inf / inf = NaN)
+    // long before their quotient does: exact solves at m = 512 carry
+    // thousands of bits. Drop the same number of low bits from both first;
+    // 1000 kept bits leave far more than a double's 53.
+    constexpr std::size_t kKeptBits = 1000;
+    const std::size_t bits = std::max(num_.bit_length(), den_.bit_length());
+    if (bits <= kKeptBits) return num_.to_double() / den_.to_double();
+    const BigInt scale = BigInt::pow(BigInt{2}, bits - kKeptBits);
+    return (num_ / scale).to_double() / (den_ / scale).to_double();
+}
 
 }  // namespace dlsbl::util

@@ -6,6 +6,7 @@
 
 #include "dlt/closed_form.hpp"
 #include "dlt/finish_time.hpp"
+#include "dlt/linear_solver.hpp"
 #include "util/rational.hpp"
 
 namespace dlsbl::dlt {
@@ -107,6 +108,44 @@ TEST(DltExact, CpEqualsNcpFeAllocationExactly) {
     const auto fe = optimal_allocation_generic<Rational>(NetworkKind::kNcpFE,
                                                          std::span<const Rational>(w), z);
     for (std::size_t i = 0; i < cp.size(); ++i) EXPECT_EQ(cp[i], fe[i]);
+}
+
+// The scale stage's bid vector (w_i = 1.00, 1.01, ..., z = 0.002) at a large
+// m: the double closed form against the exact-rational solve of the
+// Theorem 2.1 system, every entry, with MatchesDoublePath's tolerance.
+// m = 512 is the largest power of two whose exact solve finishes in about
+// a minute per kind; the rationals' digits grow with m, so the solve is
+// roughly cubic and m = 1024 would take about ten minutes per kind.
+// EXPERIMENTS.md E25 records the timings.
+constexpr std::size_t kExactScaleM = 512;
+
+void expect_closed_form_matches_exact_solve(NetworkKind kind, std::size_t m) {
+    std::vector<Rational> w_exact;
+    ProblemInstance instance;
+    instance.kind = kind;
+    instance.z = 0.002;
+    for (std::size_t i = 0; i < m; ++i) {
+        const auto hundredths = static_cast<std::int64_t>(100 + i);
+        w_exact.push_back(Rational{util::BigInt{hundredths}, util::BigInt{100}});
+        instance.w.push_back(1.0 + 0.01 * static_cast<double>(i));
+    }
+    const auto alpha_exact = optimal_allocation_by_solver_generic<Rational>(
+        kind, std::span<const Rational>(w_exact), Rational::parse("1/500"));
+    const auto alpha_double = optimal_allocation(instance);
+    ASSERT_EQ(alpha_double.size(), m);
+    ASSERT_EQ(alpha_exact.size(), m);
+    for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_NEAR(alpha_double[i], alpha_exact[i].to_double(), 1e-12)
+            << to_string(kind) << " m=" << m << " i=" << i;
+    }
+}
+
+TEST(DltExact, ScaleVectorMatchesExactSolveNcpFe) {
+    expect_closed_form_matches_exact_solve(NetworkKind::kNcpFE, kExactScaleM);
+}
+
+TEST(DltExact, ScaleVectorMatchesExactSolveNcpNfe) {
+    expect_closed_form_matches_exact_solve(NetworkKind::kNcpNFE, kExactScaleM);
 }
 
 }  // namespace

@@ -77,6 +77,15 @@ TEST(Rational, ToDouble) {
     EXPECT_DOUBLE_EQ(Rational::parse("-3/8").to_double(), -0.375);
 }
 
+// Parts too large for a double still convert: (2^3000 + 1) / 2^3001 is 1/2
+// to within far less than an ulp, not inf / inf.
+TEST(Rational, ToDoubleWithPartsBeyondDoubleRange) {
+    const BigInt big = BigInt::pow(BigInt{2}, 3000);
+    EXPECT_DOUBLE_EQ(Rational(big + BigInt{1}, big * BigInt{2}).to_double(), 0.5);
+    EXPECT_DOUBLE_EQ(Rational((big + BigInt{1}).negated(), big * BigInt{2}).to_double(), -0.5);
+    EXPECT_DOUBLE_EQ(Rational(big * BigInt{5}, big + BigInt{1}).to_double(), 5.0);
+}
+
 TEST(Rational, ParsePlainInteger) {
     EXPECT_EQ(Rational::parse("42").to_string(), "42");
     EXPECT_EQ(Rational::parse("-17").to_string(), "-17");
