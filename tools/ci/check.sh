@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # tools/ci/check.sh — the one-command verification entry point:
 #
-#   configure -> build -> ctest (tier-1) -> m = 1024 scale run -> dlsbl_analyze
+#   configure -> build -> ctest (tier-1) -> m = 2048 scale run -> dlsbl_analyze
 #                                       -> clang-tidy* -> cppcheck* (*when on PATH)
 #
 # Static and dynamic analysis share this entry point: set DLSBL_SANITIZE to
@@ -79,17 +79,18 @@ step "bench-regress (perf gate)"
 # regression is legible in CI logs, not buried in the ctest summary.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L bench-regress
 
-step "scale run (m = 1024)"
-# One honest run at the m = 1024 scaling target, run to completion. A run is
-# Theta(m^2) messages at O(1) bookkeeping each: a few seconds on a 4-core
-# host. A Theta(m^3) slip in bid intake or payments takes about a minute
-# there and trips the timeout. Sanitized builds run several times slower
-# and get a longer budget.
-SCALE_W=$(awk 'BEGIN { for (i = 0; i < 1024; ++i) printf "%s%.2f", (i ? "," : ""), 1 + 0.01 * i }')
+step "scale run (m = 2048)"
+# One honest run at m = 2048, run to completion. A run is Theta(m^2)
+# messages at O(1) bookkeeping each, a broadcast being one kernel event:
+# about 7-13 s and 1.1 GB peak RSS on a 4-core host (most of the memory is
+# the per-delivery trace). A Theta(m^3) slip in bid intake or payments
+# takes minutes there and trips the timeout. Sanitized builds run several
+# times slower and get a longer budget.
+SCALE_W=$(awk 'BEGIN { for (i = 0; i < 2048; ++i) printf "%s%.2f", (i ? "," : ""), 1 + 0.01 * i }')
 SCALE_TIMEOUT=30
 [[ -n "$SANITIZE" ]] && SCALE_TIMEOUT=300
 timeout "$SCALE_TIMEOUT" "$BUILD_DIR/examples/dlsbl_cli" --w "$SCALE_W" --z 0.002 \
-    --blocks 4096 --seed 42 >/dev/null
+    --blocks 8192 --seed 42 >/dev/null
 
 step "dlsbl_analyze"
 # The one static-analysis gate: per-file token rules, determinism taint
