@@ -104,6 +104,13 @@ constexpr Golden kGolden[] = {
       "67b5f9125f11b93efd4e267a049ff423e2141429e334cca3131ad4e1ca8c8715",
       "9e4b0ceecdd832d1306ce7680d016a4f06e0bd21ba4a619b7cccda4abf3ebdd6",
       "c6dca183ce0f8e5ee3de29b52fa3cbbceae454c425edcba84657e458556b4f78"}},
+    {"m=12 crash-before-bid P2 and P10",
+     {"9f2fee2e2ad14ae5f73030195d1c20057b8e8eaad232ab7f24613b87c9b9c59f",
+      "b9697950f83206ba4604725f6bc40fb6bbde8922f05a37aa8f78839b8068e797",
+      "0ae9f50880e7dd3066a8757921fc8f74a1c32f976a76797c1d3b7c6791feee28",
+      "0c78069b9c821e260907004f7bcb435cec31ba2f2036294e3848e7849de9f50f",
+      "f60e54254ba21fc8702846f6e3363eb20325e1a64edd65b3794293302d6c0bd5",
+      "947b6cc9d0ebff60eb46fa794cdf32f87a2a2b53e423eee69ea7cda140f952be"}},
 };
 // clang-format on
 
@@ -335,6 +342,33 @@ TEST(ChurnScenarios, CrashBeforeBidExcludesAtFortyProcessors) {
     for (const auto& p : outcome.processors) assigned += p.blocks_assigned;
     EXPECT_EQ(assigned, config.block_count);
     EXPECT_GT(outcome.user_paid, 0.0);
+}
+
+// ---- m = 12: the excluded set reads in name order ----------------------------
+
+TEST(ChurnScenarios, CrashBeforeBidExcludesInNameOrderAtTwelveProcessors) {
+    auto config = base_config();
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 12; ++i) {
+        config.true_w.push_back(0.8 + 0.1 * static_cast<double>((i * 5) % 12));
+    }
+    config.z = 0.1;
+    config.block_count = 1200;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    config.churn_plan.events = {{"P2", 0.0, ChurnEventKind::kCrash},
+                                {"P10", 0.0, ChurnEventKind::kCrash}};
+    const auto run = expect_golden(config, "m=12 crash-before-bid P2 and P10");
+    const auto& outcome = run.result;
+
+    // P10 sorts before P2: the outcome lists exclusions by name.
+    ASSERT_EQ(outcome.churn_excluded, (std::vector<std::string>{"P10", "P2"}));
+    EXPECT_FALSE(outcome.terminated_early);
+    EXPECT_EQ(outcome.fined_count(), 0u);
+    EXPECT_EQ(outcome.processor("P2").payment, 0.0);
+    EXPECT_EQ(outcome.processor("P10").payment, 0.0);
+    std::size_t assigned = 0;
+    for (const auto& p : outcome.processors) assigned += p.blocks_assigned;
+    EXPECT_EQ(assigned, config.block_count);
 }
 
 }  // namespace

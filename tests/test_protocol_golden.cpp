@@ -2,8 +2,9 @@
 //
 // A fixed scenario zoo — honest NCP-FE and NCP-NFE runs, the
 // bandwidth-charged control plane, every worker deviant on both network
-// kinds, every load-origin deviant, three seeds, and m = 40 runs whose bid
-// intake fills the verify queue — is run once each, and
+// kinds, every load-origin deviant, three seeds, m = 40 runs whose bid
+// intake fills the verify queue, and m = 12 disputes where name order and id
+// order differ — is run once each, and
 // the SHA-256 of each artifact (outcome, fines ledger, JSONL event log at
 // debug level, rendered trace, catapult export, per-run metrics) must equal
 // the digest pinned below. A deliberate behaviour change fails here with the
@@ -242,6 +243,20 @@ constexpr Golden kGolden[] = {
       "0a935e5c2cdf75a0e86482a16d4440875b6cd51d30a1d1a92c207b674aa83d9b",
       "eb317c2e8c453ef28a94259563d241c878d524d64c230016159b0ec0b1709d9d",
       "41ec8578fb2502fe6e0f9d55c140b805d7245cac51d377b7b6580af3bb4696f8"}},
+    {"m=12 BUS-LINEAR-NCP-FE payment_cheater at P2 and P10",
+     {"e899075b39cb30623965cae7c72893bbb2de52def0934d4d047c46756e9fe1c9",
+      "7813c4f4f7f7c44de16a8e5360fb7544f9134349608033cd8f523a2546b03874",
+      "b49f29bb05eab208d77701f14fc7a53b307725b372e9378deafe8ccb01ef0805",
+      "76b0356de4c8d30579803f16472755640e84028e685675f61421e76b9a114c4f",
+      "7f5ade9d2bccadde7778703b4e24903bef73dcf63b4c34439f2e15301a96a24d",
+      "8bf879e317c0b854a6f176ce3ad5b1227b22c31849c49005dd0bb5fc4c6eb3c7"}},
+    {"m=12 BUS-LINEAR-NCP-NFE worker false_short_claimer at P2",
+     {"46c6c7cc0dbf4effc2aaeb8665cdd6e1f988eda9c56b582f1df0b67d85cbf150",
+      "bff67925812ba6f98d4bda86e588748519aa14a4569deb2930650d21bb429efb",
+      "c5d2bfc94b560b8633bf126ebf1a1fefdf5ee8b9a4d7b2ff635c63e95222b99d",
+      "4f8b3e8cbc618ee467145a33fe3e423dd6d1ee3c27c7c71990d132f3b62c12bc",
+      "96f980370dc7608d4698c968894531c3e03993f26e354d8aaccaf1c832d9372b",
+      "baa9ed01b82559788c69fbf44de91207821d72728104b357ae471c6c285a4d26"}},
 };
 // clang-format on
 
@@ -347,6 +362,32 @@ std::vector<Scenario> verify_queue_scenarios() {
     return out;
 }
 
+// m = 12: P10, P11 and P12 sort before P2, so the sites that walk
+// processors in name order rather than id order show it. Two payment
+// cheaters at P2 and P10 draw a two-deviant, non-terminating verdict after a
+// bid-vector dispute over every processor; on NCP-NFE the load origin is P12,
+// so an allocation complaint by P2 requests the two vectors P12 first.
+ProtocolConfig twelve_config(dlt::NetworkKind kind) {
+    ProtocolConfig config = base_config(kind);
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 12; ++i) {
+        config.true_w.push_back(0.8 + 0.1 * static_cast<double>((i * 5) % 12));
+    }
+    config.z = 0.1;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    return config;
+}
+
+std::vector<Scenario> name_order_scenarios() {
+    auto cheaters = twelve_config(dlt::NetworkKind::kNcpFE);
+    cheaters.strategies[1] = agents::payment_cheater();
+    cheaters.strategies[9] = agents::payment_cheater();
+    auto claimer = twelve_config(dlt::NetworkKind::kNcpNFE);
+    claimer.strategies[1] = agents::false_short_claimer();
+    return {{"m=12 BUS-LINEAR-NCP-FE payment_cheater at P2 and P10", cheaters},
+            {"m=12 BUS-LINEAR-NCP-NFE worker false_short_claimer at P2", claimer}};
+}
+
 void expect_golden(const std::vector<Scenario>& scenarios) {
     for (const auto& scenario : scenarios) {
         test_support::expect_golden(test_support::capture(scenario.config), scenario.label,
@@ -368,12 +409,28 @@ TEST(ProtocolGolden, VerifyQueueFillsAtFortyProcessors) {
     expect_golden(verify_queue_scenarios());
 }
 
+TEST(ProtocolGolden, NameOrderAtTwelveProcessors) {
+    const auto scenarios = name_order_scenarios();
+    const auto cheaters = test_support::capture(scenarios[0].config);
+    test_support::expect_golden(cheaters, scenarios[0].label, kGolden);
+    EXPECT_FALSE(cheaters.result.terminated_early);
+    EXPECT_EQ(cheaters.result.fined_count(), 2u);
+    EXPECT_TRUE(cheaters.result.processor("P2").fined);
+    EXPECT_TRUE(cheaters.result.processor("P10").fined);
+    const auto claimer = test_support::capture(scenarios[1].config);
+    test_support::expect_golden(claimer, scenarios[1].label, kGolden);
+    EXPECT_TRUE(claimer.result.terminated_early);
+    EXPECT_EQ(claimer.result.fined_count(), 1u);
+    EXPECT_TRUE(claimer.result.processor("P2").fined);
+}
+
 // The table pins exactly the zoo: one row per scenario, no stale rows.
 TEST(ProtocolGolden, TableCoversExactlyTheZoo) {
     std::vector<std::string> labels;
     for (const auto& group : {honest_scenarios(), bandwidth_scenarios(),
                               worker_deviant_scenarios(), lo_deviant_scenarios(),
-                              seed_scenarios(), verify_queue_scenarios()}) {
+                              seed_scenarios(), verify_queue_scenarios(),
+                              name_order_scenarios()}) {
         for (const auto& scenario : group) labels.push_back(scenario.label);
     }
     std::vector<std::string> pinned;
