@@ -49,13 +49,8 @@ SweepPoint run_point(double safety_factor) {
     const auto outcome = protocol::run_protocol(config, [&](const auto& internals) {
         point.escrow_solvent =
             internals.context.ledger().balance(internals.context.referee_name()) >= -1e-9;
-        for (const auto& [name, amount] : internals.referee.compensations()) {
+        for (const double amount : internals.referee.compensations()) {
             point.compensation_paid += amount;
-        }
-        // What the termination rule wanted to pay: every commenced honest
-        // worker's α_i b_i.
-        for (const auto& p : internals.context.processor_names()) {
-            (void)p;
         }
     });
     point.fine = outcome.fine_amount;

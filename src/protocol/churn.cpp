@@ -396,18 +396,15 @@ DeliveryRuling churn_ruling(const ChurnPlan& plan, const std::string& from,
 
 std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs,
                                               mech::DlsBlCache& mechanisms) {
-    std::vector<double> q(inputs.names.size(), 0.0);
+    std::vector<double> q(inputs.bids.size(), 0.0);
     // Active bidders in original index order — the subset the mechanism ran
     // over after bid-deadline exclusions.
     std::vector<std::size_t> active_index;
     std::vector<double> bids;
-    for (std::size_t i = 0; i < inputs.names.size(); ++i) {
-        const auto& name = inputs.names[i];
-        if (inputs.excluded.contains(name)) continue;
-        const auto bid = inputs.bids.find(name);
-        if (bid == inputs.bids.end()) continue;
+    for (std::size_t i = 0; i < inputs.bids.size(); ++i) {
+        if (inputs.excluded[i]) continue;
         active_index.push_back(i);
-        bids.push_back(bid->second);
+        bids.push_back(inputs.bids[i]);
     }
     // The leave-one-out bonus needs at least two participants.
     if (bids.size() < 2 || inputs.block_count == 0) return q;
@@ -423,16 +420,12 @@ std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& input
     std::vector<double> exec(bids.size());
     std::vector<std::size_t> final_counts(bids.size());
     for (std::size_t j = 0; j < active_index.size(); ++j) {
-        const auto& name = inputs.names[active_index[j]];
-        const auto final_it = inputs.final_counts.find(name);
-        const std::size_t final_blocks =
-            final_it != inputs.final_counts.end() ? final_it->second : original[j];
-        final_counts[j] = final_blocks;
+        const std::size_t i = active_index[j];
+        final_counts[j] = inputs.final_counts[i];
         const double fraction =
-            static_cast<double>(final_blocks) / static_cast<double>(inputs.block_count);
-        const auto phi = inputs.phis.find(name);
-        if (fraction > 0.0 && phi != inputs.phis.end()) {
-            exec[j] = phi->second / fraction;
+            static_cast<double>(final_counts[j]) / static_cast<double>(inputs.block_count);
+        if (fraction > 0.0 && inputs.phis[i]) {
+            exec[j] = *inputs.phis[i] / fraction;
         } else {
             exec[j] = bids[j];
         }

@@ -15,9 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -141,14 +139,15 @@ struct ChurnSettlementInputs {
     dlt::NetworkKind kind = dlt::NetworkKind::kNcpFE;
     double z = 0.0;
     std::size_t block_count = 0;
-    std::vector<std::string> names;              // all processors, index order
-    std::set<std::string> excluded;              // bid-deadline exclusions
-    std::map<std::string, double> bids;          // active bidders only
-    std::map<std::string, std::size_t> final_counts;  // post-realloc blocks
-    std::map<std::string, double> phis;          // finished meter readings
+    // One entry per processor, indexed by ProcId; only the entries of
+    // processors not excluded are read.
+    std::vector<double> bids;
+    std::vector<bool> excluded;                // bid-deadline exclusions
+    std::vector<std::size_t> final_counts;     // post-realloc blocks
+    std::vector<std::optional<double>> phis;   // finished meter readings
 };
 
-// Full-size payment vector (names.size() entries, zeros for excluded).
+// Full-size payment vector (bids.size() entries, zeros for excluded).
 // Returns all-zeros when fewer than two active bidders remain. The mechanism
 // over the active bids comes from `mechanisms`, so every party settling the
 // same bids shares one.

@@ -1,5 +1,7 @@
 #include "protocol/context.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/event.hpp"
@@ -75,6 +77,7 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
       transport_(transport),
       config_(std::move(config)),
       dataset_(config_.seed, config_.block_count),
+      meters_(config_.true_w.size()),
       // Trace id: seed-derived (stream index 0x5a9 is arbitrary but fixed),
       // so the span graph is deterministic and unique per run seed.
       spans_(util::derive_seed(config_.seed, 0x5a9), transport.span_sink()),
@@ -85,8 +88,13 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
     for (std::size_t i = 0; i < config_.true_w.size(); ++i) {
         names_.push_back(proc_name(static_cast<ProcId>(i)));
     }
+    name_order_.resize(names_.size());
+    std::iota(name_order_.begin(), name_order_.end(), ProcId{0});
+    std::ranges::sort(name_order_, {}, [this](ProcId id) -> const std::string& {
+        return names_[id];
+    });
     shipped_.resize(names_.size());
-    lo_name_ = names_[dlt::load_origin_index(config_.kind, names_.size())];
+    lo_id_ = static_cast<ProcId>(dlt::load_origin_index(config_.kind, names_.size()));
     ledger_.open_account(user_name_);
     ledger_.open_account(referee_name_);
     for (const auto& name : names_) ledger_.open_account(name);
@@ -106,11 +114,6 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
             });
         }
     }
-}
-
-std::size_t RunContext::index_of(const std::string& name) const {
-    if (const auto id = proc_id(name)) return *id;
-    throw std::out_of_range("RunContext: unknown processor " + name);
 }
 
 void RunContext::set_phase(Phase phase) {
@@ -150,10 +153,9 @@ void RunContext::post_fine(double predicted_compensation_sum) {
     fine_amount_ = config_.fine_policy.fine_for(predicted_compensation_sum);
 }
 
-void RunContext::ship_load(const std::string& from, const std::string& to,
-                           LoadBatch batch, std::uint64_t span_id) {
+void RunContext::ship_load(ProcId from, ProcId to, LoadBatch batch, std::uint64_t span_id) {
     // The bus witness: record exactly what crosses the shared medium.
-    auto& record = shipped_[index_of(to)];
+    auto& record = shipped_[to];
     if (!record) record.emplace();
     for (const auto& block : batch.blocks) {
         if (DataSet::verify_block(dataset_.root(), block)) {
@@ -161,22 +163,19 @@ void RunContext::ship_load(const std::string& from, const std::string& to,
         } else {
             ++record->invalid_blocks;
         }
-        record->block_ids.push_back(block.id);
     }
     const double units =
         static_cast<double>(batch.blocks.size()) / static_cast<double>(config_.block_count);
-    transport_.transfer_load(from, to, units, to_wire(MsgType::kLoadDelivery),
+    transport_.transfer_load(names_[from], names_[to], units, to_wire(MsgType::kLoadDelivery),
                              wire::flat_encode(batch), span_id);
 }
 
-const ShippedRecord* RunContext::shipped_to(const std::string& to) const {
-    const auto id = proc_id(to);
-    return id && shipped_[*id] ? &*shipped_[*id] : nullptr;
+const ShippedRecord* RunContext::shipped_to(ProcId to) const {
+    return shipped_[to] ? &*shipped_[to] : nullptr;
 }
 
-double RunContext::clamp_rate(const std::string& who, double requested) const {
-    const double true_w = config_.true_w[index_of(who)];
-    return std::max(true_w, requested);
+double RunContext::clamp_rate(ProcId who, double requested) const {
+    return std::max(config_.true_w[who], requested);
 }
 
 void RunContext::adjust_expected_workers(std::ptrdiff_t delta) {
@@ -184,16 +183,17 @@ void RunContext::adjust_expected_workers(std::ptrdiff_t delta) {
         static_cast<std::ptrdiff_t>(expected_workers_) + delta);
 }
 
-void RunContext::execute_load(const std::string& who, std::size_t block_count, double rate,
+void RunContext::execute_load(ProcId who, std::size_t block_count, double rate,
                               std::function<void()> done, std::uint64_t parent_span) {
+    const std::string& name = names_[who];
     const double clamped = clamp_rate(who, rate);
     const double units =
         static_cast<double>(block_count) / static_cast<double>(config_.block_count);
     const double duration = units * clamped;
-    if (config_.churn_plan.enabled() && config_.churn_plan.down(who, clock_.now())) {
+    if (config_.churn_plan.enabled() && config_.churn_plan.down(name, clock_.now())) {
         // A crashed processor cannot start computing; the referee's
         // watchdogs notice the meter never ran.
-        transport_.note_churn(clock_.now(), who,
+        transport_.note_churn(clock_.now(), name,
                               "execute-suppressed blocks=" + std::to_string(block_count));
         return;
     }
@@ -205,14 +205,14 @@ void RunContext::execute_load(const std::string& who, std::size_t block_count, d
         meters_.start(who, clock_.now());
     }
     const obs::SpanContext compute_span = spans_.open(
-        "compute", who, clock_.now(),
+        "compute", name, clock_.now(),
         parent_span != 0 ? parent_span : phase_span_.span_id);
-    transport_.note_compute_start(clock_.now(), who,
+    transport_.note_compute_start(clock_.now(), name,
                                   "blocks=" + std::to_string(block_count) +
                                       " rate=" + std::to_string(clamped),
                                   compute_span.span_id, compute_span.parent_id);
     const auto crash = config_.churn_plan.enabled()
-                           ? config_.churn_plan.first_crash_in(who, clock_.now(),
+                           ? config_.churn_plan.first_crash_in(name, clock_.now(),
                                                                clock_.now() + duration)
                            : std::nullopt;
     if (crash.has_value()) {
@@ -223,14 +223,14 @@ void RunContext::execute_load(const std::string& who, std::size_t block_count, d
         clock_.call_at(*crash, [this, who, compute_span, block_count, duration, started] {
             meters_.stop(who, clock_.now());
             last_compute_end_ = std::max(last_compute_end_, clock_.now());
-            transport_.note_compute_end(clock_.now(), who, compute_span.span_id,
+            transport_.note_compute_end(clock_.now(), names_[who], compute_span.span_id,
                                         compute_span.parent_id);
             spans_.close(compute_span, clock_.now());
             const double fraction =
                 duration > 0.0 ? (clock_.now() - started) / duration : 1.0;
             const auto blocks_done = static_cast<std::size_t>(
                 static_cast<double>(block_count) * fraction);
-            transport_.note_churn(clock_.now(), who,
+            transport_.note_churn(clock_.now(), names_[who],
                                   "compute-interrupted blocks_done=" +
                                       std::to_string(blocks_done) +
                                       " of=" + std::to_string(block_count));
@@ -248,7 +248,7 @@ void RunContext::execute_load(const std::string& who, std::size_t block_count, d
     clock_.call_after(duration, [this, who, compute_span, done = std::move(done)] {
         meters_.stop(who, clock_.now());
         last_compute_end_ = std::max(last_compute_end_, clock_.now());
-        transport_.note_compute_end(clock_.now(), who, compute_span.span_id,
+        transport_.note_compute_end(clock_.now(), names_[who], compute_span.span_id,
                                     compute_span.parent_id);
         spans_.close(compute_span, clock_.now());
         if (done) done();

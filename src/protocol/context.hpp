@@ -42,7 +42,6 @@ class RefereeCore;
 struct ShippedRecord {
     std::size_t valid_blocks = 0;    // authentic blocks observed on the bus
     std::size_t invalid_blocks = 0;  // blocks failing the integrity check
-    std::vector<std::uint64_t> block_ids;
 };
 
 class RunContext {
@@ -58,7 +57,15 @@ class RunContext {
         return names_;
     }
     [[nodiscard]] const std::string& referee_name() const noexcept { return referee_name_; }
-    [[nodiscard]] const std::string& load_origin() const noexcept { return lo_name_; }
+    [[nodiscard]] const std::string& load_origin() const noexcept { return names_[lo_id_]; }
+    [[nodiscard]] ProcId load_origin_id() const noexcept { return lo_id_; }
+    // Every ProcId, sorted by processor name ("P1", "P10", "P11", "P2", …).
+    // The referee's verdicts, its allocation-dispute requests and bid-vector
+    // screening, and the outcome's exclusion list read in this order (see
+    // DESIGN.md "Processor identity"); everything else walks ids.
+    [[nodiscard]] const std::vector<ProcId>& name_order() const noexcept {
+        return name_order_;
+    }
     [[nodiscard]] std::uint64_t job_id() const noexcept { return job_id_; }
     // Name -> dense id (O(1)); nullopt for anything that is not a processor.
     [[nodiscard]] std::optional<ProcId> proc_id(std::string_view name) const noexcept {
@@ -70,8 +77,6 @@ class RunContext {
         if (message.from_id && *message.from_id < processor_count()) return message.from_id;
         return std::nullopt;
     }
-    // As proc_id, but an unknown name is a caller bug: throws out_of_range.
-    [[nodiscard]] std::size_t index_of(const std::string& name) const;
 
     // --- subsystems ---------------------------------------------------------
     [[nodiscard]] Clock& clock() noexcept { return clock_; }
@@ -120,18 +125,17 @@ class RunContext {
     // The LO ships blocks to `to` through the one-port bus; the bus witness
     // records counts and integrity. `span_id` (optional) stamps the sender's
     // causal span onto the transfer.
-    void ship_load(const std::string& from, const std::string& to, LoadBatch batch,
-                   std::uint64_t span_id = 0);
-    [[nodiscard]] const ShippedRecord* shipped_to(const std::string& to) const;
+    void ship_load(ProcId from, ProcId to, LoadBatch batch, std::uint64_t span_id = 0);
+    [[nodiscard]] const ShippedRecord* shipped_to(ProcId to) const;
 
     // Runs `block_count` blocks at per-unit time `rate` on behalf of `who`;
     // rate is clamped to >= the processor's true w (you cannot compute
     // faster than your hardware). Fires `done` when execution completes and
     // the meter has been stopped. The compute interval gets its own span,
     // parented on `parent_span` (0 = the current phase span).
-    void execute_load(const std::string& who, std::size_t block_count, double rate,
+    void execute_load(ProcId who, std::size_t block_count, double rate,
                       std::function<void()> done, std::uint64_t parent_span = 0);
-    [[nodiscard]] double clamp_rate(const std::string& who, double requested) const;
+    [[nodiscard]] double clamp_rate(ProcId who, double requested) const;
 
     // Called by execute_load completion; when every expected processor has
     // finished, notifies the referee (meter collection, §4).
@@ -169,9 +173,10 @@ class RunContext {
     obs::SpanContext phase_span_;
 
     std::vector<std::string> names_;
+    std::vector<ProcId> name_order_;
     std::string referee_name_ = "referee";
     std::string user_name_ = "user";
-    std::string lo_name_;
+    ProcId lo_id_ = 0;
     std::uint64_t job_id_;
 
     Phase phase_ = Phase::kInit;

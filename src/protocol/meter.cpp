@@ -1,60 +1,48 @@
 #include "protocol/meter.hpp"
 
+#include <stdexcept>
+
 namespace dlsbl::protocol {
 
-void MeterBank::start(const std::string& processor, double time) {
-    auto& span = spans_[processor];
-    if (span.running > 0 || span.ever_done) {
-        throw std::logic_error("MeterBank: double start for " + processor);
+void MeterBank::start(ProcId processor, double time) {
+    auto& span = spans_.at(processor);
+    if (span.started()) {
+        throw std::logic_error("MeterBank: double start for " + proc_name(processor));
     }
-    span.first_start = time;
     span.sum_starts += time;
     span.running = 1;
 }
 
-void MeterBank::resume(const std::string& processor, double time) {
-    auto it = spans_.find(processor);
-    if (it == spans_.end()) {
-        throw std::logic_error("MeterBank: resume without start for " + processor);
+void MeterBank::resume(ProcId processor, double time) {
+    auto& span = spans_.at(processor);
+    if (!span.started()) {
+        throw std::logic_error("MeterBank: resume without start for " + proc_name(processor));
     }
-    it->second.sum_starts += time;
-    ++it->second.running;
+    span.sum_starts += time;
+    ++span.running;
 }
 
-void MeterBank::stop(const std::string& processor, double time) {
-    auto it = spans_.find(processor);
-    if (it == spans_.end() || it->second.running == 0) {
-        throw std::logic_error("MeterBank: stop without start for " + processor);
+void MeterBank::stop(ProcId processor, double time) {
+    auto& span = spans_.at(processor);
+    if (span.running == 0) {
+        throw std::logic_error("MeterBank: stop without start for " + proc_name(processor));
     }
-    it->second.sum_stops += time;
-    --it->second.running;
-    if (it->second.running == 0 && !it->second.ever_done) {
-        it->second.ever_done = true;
-        ++finished_;
+    span.sum_stops += time;
+    if (--span.running == 0) span.ever_done = true;
+}
+
+bool MeterBank::started(ProcId processor) const { return spans_.at(processor).started(); }
+
+bool MeterBank::finished(ProcId processor) const {
+    const auto& span = spans_.at(processor);
+    return span.ever_done && span.running == 0;
+}
+
+double MeterBank::elapsed(ProcId processor) const {
+    if (!finished(processor)) {
+        throw std::logic_error("MeterBank: no finished span for " + proc_name(processor));
     }
-}
-
-bool MeterBank::started(const std::string& processor) const {
-    return spans_.contains(processor);
-}
-
-bool MeterBank::finished(const std::string& processor) const {
-    const auto it = spans_.find(processor);
-    return it != spans_.end() && it->second.ever_done && it->second.running == 0;
-}
-
-double MeterBank::elapsed(const std::string& processor) const {
-    const auto it = spans_.find(processor);
-    if (it == spans_.end() || !it->second.ever_done || it->second.running > 0) {
-        throw std::logic_error("MeterBank: no finished span for " + processor);
-    }
-    return it->second.sum_stops - it->second.sum_starts;
-}
-
-double MeterBank::started_at(const std::string& processor) const {
-    const auto it = spans_.find(processor);
-    if (it == spans_.end()) throw std::logic_error("MeterBank: no span for " + processor);
-    return it->second.first_start;
+    return spans_[processor].sum_stops - spans_[processor].sum_starts;
 }
 
 }  // namespace dlsbl::protocol

@@ -15,42 +15,42 @@
 // meter reads as finished() only while no segment is open.
 #pragma once
 
-#include <map>
-#include <stdexcept>
-#include <string>
+#include <cstddef>
 #include <vector>
+
+#include "protocol/config.hpp"
 
 namespace dlsbl::protocol {
 
 class MeterBank {
  public:
-    void start(const std::string& processor, double time);
+    // One meter per processor, indexed by ProcId; an id >= `processors`
+    // throws std::out_of_range.
+    explicit MeterBank(std::size_t processors) : spans_(processors) {}
+
+    void start(ProcId processor, double time);
     // Reopens an existing meter for an extra (reallocated) batch. Segments
     // may overlap — a survivor can receive its extra while still computing
     // its primary batch — and φ then sums the per-batch durations, the
     // block-work time a per-batch meter would report.
-    void resume(const std::string& processor, double time);
-    void stop(const std::string& processor, double time);
+    void resume(ProcId processor, double time);
+    void stop(ProcId processor, double time);
 
-    [[nodiscard]] bool started(const std::string& processor) const;
-    [[nodiscard]] bool finished(const std::string& processor) const;
-    [[nodiscard]] std::size_t finished_count() const noexcept { return finished_; }
+    [[nodiscard]] bool started(ProcId processor) const;
+    [[nodiscard]] bool finished(ProcId processor) const;
 
     // φ_i: total time spent executing the assigned load.
-    [[nodiscard]] double elapsed(const std::string& processor) const;
-
-    [[nodiscard]] double started_at(const std::string& processor) const;
+    [[nodiscard]] double elapsed(ProcId processor) const;
 
  private:
     struct Span {
-        double first_start = 0.0;
         double sum_starts = 0.0;  // Σ segment starts
         double sum_stops = 0.0;   // Σ segment stops; φ = sum_stops - sum_starts
         int running = 0;          // open segments
         bool ever_done = false;   // at least one segment completed
+        [[nodiscard]] bool started() const noexcept { return running > 0 || ever_done; }
     };
-    std::map<std::string, Span> spans_;
-    std::size_t finished_ = 0;
+    std::vector<Span> spans_;
 };
 
 }  // namespace dlsbl::protocol

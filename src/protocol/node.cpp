@@ -25,7 +25,7 @@ NodeCore::NodeCore(RunContext& context, std::size_t index,
                    std::unique_ptr<crypto::Signer> signer, Strategy strategy)
     : Endpoint(context.processor_names()[index]),
       ctx_(context),
-      index_(index),
+      index_(static_cast<ProcId>(index)),
       true_w_(context.config().true_w[index]),
       strategy_(std::move(strategy)),
       signer_(std::move(signer)),
@@ -64,7 +64,7 @@ void NodeCore::register_handlers() {
     dispatch_.ignore(MsgType::kPaymentVector);
 }
 
-bool NodeCore::is_load_origin() const { return name() == ctx_.load_origin(); }
+bool NodeCore::is_load_origin() const { return index_ == ctx_.load_origin_id(); }
 
 void NodeCore::on_start() {
     if (ctx_.phase() == Phase::kInit) ctx_.set_phase(Phase::kBidding);
@@ -106,7 +106,7 @@ void NodeCore::broadcast_bid(double value) {
     if (!first_bids_[index_]) {
         first_bids_[index_] = util::share(envelope);
         bid_values_[index_] = value;
-        bid_tally_.record(static_cast<ProcId>(index_));
+        bid_tally_.record(index_);
         maybe_finish_bidding();
     }
     // Causal anchor: the broadcast's bus records carry this span, so every
@@ -301,8 +301,7 @@ void NodeCore::ship_loads() {
         const obs::SpanContext ship_span = ctx_.spans().instant(
             "ship:" + ctx_.processor_names()[i], name(), ctx_.clock().now(),
             ctx_.phase_span().span_id);
-        ctx_.ship_load(name(), ctx_.processor_names()[i], std::move(batch),
-                       ship_span.span_id);
+        ctx_.ship_load(index_, static_cast<ProcId>(i), std::move(batch), ship_span.span_id);
     }
 
     // The LO's own share never crosses the bus.
@@ -345,7 +344,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         extra_received_ += valid;
         extra_pending_ = 0;
         if (valid > 0) {
-            ctx_.execute_load(name(), valid, exec_rate_, [] {}, verify_span.span_id);
+            ctx_.execute_load(index_, valid, exec_rate_, [] {}, verify_span.span_id);
         }
         return;
     }
@@ -425,13 +424,21 @@ void NodeCore::begin_processing(std::size_t blocks) {
     if (processing_started_ || ctx_.terminated()) return;
     processing_started_ = true;
     if (ctx_.phase() == Phase::kAllocating) ctx_.set_phase(Phase::kProcessing);
-    ctx_.execute_load(name(), blocks, exec_rate_, [] {}, compute_parent_span_);
+    ctx_.execute_load(index_, blocks, exec_rate_, [] {}, compute_parent_span_);
 }
 
 void NodeCore::handle_meter_broadcast(const WireMessage& message) {
     flush_pending_bids();  // the payment computation reads bid_values_
     const auto view = wire::MeterVectorView::parse(*message.payload);
     if (!view || message.from != ctx_.referee_name()) return;
+    const std::size_t m = ctx_.processor_count();
+    std::vector<std::optional<double>> phi(m);
+    wire::Cursor phis = view->phis;
+    for (std::uint64_t k = 0; k < view->phi_count; ++k) {
+        const auto id = ctx_.proc_id(phis.str());
+        const double value = phis.f64();
+        if (id) phi[*id] = value;
+    }
 
     if (ctx_.churn_enabled()) {
         // At most one submission (the referee retransmits for peers whose
@@ -439,19 +446,11 @@ void NodeCore::handle_meter_broadcast(const WireMessage& message) {
         // actually followed the round to this point.
         if (payment_submitted_ || excluded_self_ || !bidding_finished_) return;
         payment_submitted_ = true;
-        payment_vector_ = churn_payment_vector(*view);
+        payment_vector_ = churn_payment_vector(std::move(phi));
     } else {
         // w̃_j = φ_j / α_j (§4 Computing Payments) — with block-granular
         // loads, α_j is the fraction actually assigned, blocks_j /
         // block_count.
-        const std::size_t m = ctx_.processor_count();
-        std::vector<std::optional<double>> phi(m);
-        wire::Cursor phis = view->phis;
-        for (std::uint64_t k = 0; k < view->phi_count; ++k) {
-            const auto id = ctx_.proc_id(phis.str());
-            const double value = phis.f64();
-            if (id) phi[*id] = value;
-        }
         std::vector<double> exec(m);
         for (std::size_t j = 0; j < m; ++j) {
             const double fraction = static_cast<double>(block_counts_[j]) /
@@ -564,7 +563,7 @@ void NodeCore::handle_exclude(const WireMessage& message) {
     for (std::uint64_t k = 0; k < body->excluded_count; ++k) {
         if (const auto id = ctx_.proc_id(excluded_names.str())) bid_tally_.exclude(*id);
     }
-    if (bid_tally_.excluded(static_cast<ProcId>(index_))) {
+    if (bid_tally_.excluded(index_)) {
         // We restarted after missing the bid deadline: the round went on
         // without us. Halt — no meter, no payment vector.
         excluded_self_ = true;
@@ -580,19 +579,23 @@ void NodeCore::handle_realloc(const WireMessage& message) {
     const auto body = wire::ReallocView::parse(*message.payload);
     if (!body || body->job_id != ctx_.job_id()) return;
     if (excluded_self_ || !bidding_finished_) return;
-    realloc_dead_ = std::string(body->dead);
-    realloc_dead_final_ = body->dead_final;
-    realloc_extras_.clear();
-    wire::Cursor extras = body->extras;
+    // The referee names only processors; anything else is not a ruling.
+    const auto dead = ctx_.proc_id(body->dead);
+    if (!dead) return;
+    std::vector<std::pair<ProcId, std::uint64_t>> extras;
+    wire::Cursor extra_records = body->extras;
     for (std::uint64_t k = 0; k < body->extra_count; ++k) {
-        const std::string_view pname = extras.str();
-        const std::uint64_t count = extras.u64();
-        realloc_extras_.emplace_back(std::string(pname), count);
+        const auto id = ctx_.proc_id(extra_records.str());
+        if (!id) return;
+        extras.emplace_back(*id, extra_records.u64());
     }
+    realloc_dead_ = dead;
+    realloc_dead_final_ = body->dead_final;
+    realloc_extras_ = std::move(extras);
 
     std::uint64_t mine = 0;
-    for (const auto& [pname, count] : realloc_extras_) {
-        if (pname == name()) mine = count;
+    for (const auto& [id, count] : realloc_extras_) {
+        if (id == index_) mine = count;
     }
     if (is_load_origin()) {
         // Re-derive the dead processor's contiguous block range (same
@@ -602,10 +605,10 @@ void NodeCore::handle_realloc(const WireMessage& message) {
         for (std::size_t i = 1; i < block_counts_.size(); ++i) {
             start[i] = start[i - 1] + block_counts_[i - 1];
         }
-        const std::size_t dead_start = start[ctx_.index_of(realloc_dead_)];
+        const std::size_t dead_start = start[*realloc_dead_];
         std::uint64_t offset = realloc_dead_final_;
-        for (const auto& [pname, count] : realloc_extras_) {
-            if (pname == name()) {
+        for (const auto& [id, count] : realloc_extras_) {
+            if (id == index_) {
                 offset += count;
                 continue;  // the LO's own share never crosses the bus
             }
@@ -613,19 +616,19 @@ void NodeCore::handle_realloc(const WireMessage& message) {
             batch.origin = name();
             batch.blocks.reserve(count);
             for (std::uint64_t k = 0; k < count; ++k) {
-                const std::uint64_t id =
+                const std::uint64_t block_id =
                     (dead_start + offset + k) % ctx_.config().block_count;
-                batch.blocks.push_back(ctx_.dataset().block(id));
+                batch.blocks.push_back(ctx_.dataset().block(block_id));
             }
             offset += count;
             const obs::SpanContext ship_span = ctx_.spans().instant(
-                "ship-extra:" + pname, name(), ctx_.clock().now(),
+                "ship-extra:" + ctx_.processor_names()[id], name(), ctx_.clock().now(),
                 message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
-            ctx_.ship_load(name(), pname, std::move(batch), ship_span.span_id);
+            ctx_.ship_load(index_, id, std::move(batch), ship_span.span_id);
         }
         if (mine > 0) {
             extra_received_ += mine;
-            ctx_.execute_load(name(), static_cast<std::size_t>(mine), exec_rate_, [] {},
+            ctx_.execute_load(index_, static_cast<std::size_t>(mine), exec_rate_, [] {},
                               compute_parent_span_);
         }
     } else if (mine > 0) {
@@ -633,34 +636,19 @@ void NodeCore::handle_realloc(const WireMessage& message) {
     }
 }
 
-std::vector<double> NodeCore::churn_payment_vector(const wire::MeterVectorView& view) {
+std::vector<double> NodeCore::churn_payment_vector(std::vector<std::optional<double>> phis) {
     // Same inputs, same function, same vector as the referee's canonical
     // settlement — any diverging submission is offense (iii).
-    ChurnSettlementInputs inputs;
-    inputs.kind = ctx_.config().kind;
-    inputs.z = ctx_.config().z;
-    inputs.block_count = ctx_.config().block_count;
-    inputs.names = ctx_.processor_names();
-    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
-        const auto& pname = ctx_.processor_names()[i];
-        if (bid_tally_.excluded(static_cast<ProcId>(i))) {
-            inputs.excluded.insert(pname);
-            continue;
-        }
-        inputs.bids[pname] = bid_values_[i];
-        std::size_t final_count = block_counts_[i];
-        if (pname == realloc_dead_) {
-            final_count = static_cast<std::size_t>(realloc_dead_final_);
-        }
-        inputs.final_counts[pname] = final_count;
+    const std::size_t m = ctx_.processor_count();
+    ChurnSettlementInputs inputs{ctx_.config().kind, ctx_.config().z,
+                                 ctx_.config().block_count, bid_values_,
+                                 std::vector<bool>(m), block_counts_, std::move(phis)};
+    for (std::size_t i = 0; i < m; ++i) {
+        inputs.excluded[i] = bid_tally_.excluded(static_cast<ProcId>(i));
     }
-    for (const auto& [pname, count] : realloc_extras_) {
-        inputs.final_counts[pname] += static_cast<std::size_t>(count);
-    }
-    wire::Cursor phis = view.phis;
-    for (std::uint64_t k = 0; k < view.phi_count; ++k) {
-        const std::string_view processor = phis.str();
-        inputs.phis[std::string(processor)] = phis.f64();
+    if (realloc_dead_) inputs.final_counts[*realloc_dead_] = realloc_dead_final_;
+    for (const auto& [id, count] : realloc_extras_) {
+        inputs.final_counts[id] += static_cast<std::size_t>(count);
     }
     return churn_settlement_payments(inputs, ctx_.mechanisms());
 }

@@ -72,9 +72,9 @@ class NodeCore final : public Endpoint {
     void handle_exclude(const WireMessage& message);
     void handle_realloc(const WireMessage& message);
     // Canonical settlement over the surviving bidders (churn mode's
-    // replacement for the mech::DlsBl payment computation).
+    // replacement for the mech::DlsBl payment computation), from φ by ProcId.
     [[nodiscard]] std::vector<double> churn_payment_vector(
-        const wire::MeterVectorView& view);
+        std::vector<std::optional<double>> phis);
     void handle_bid_vector_request();
     void handle_mediate_request(const WireMessage& message);
     void file_complaint(AllocComplaintKind kind, std::size_t expected, std::size_t received,
@@ -82,7 +82,7 @@ class NodeCore final : public Endpoint {
     void maybe_false_accuse(const wire::SignedMessageView& genuine);
 
     RunContext& ctx_;
-    std::size_t index_;
+    ProcId index_;
     double true_w_;
     Strategy strategy_;
     std::unique_ptr<crypto::Signer> signer_;
@@ -127,9 +127,10 @@ class NodeCore final : public Endpoint {
     bool excluded_self_ = false;
     std::size_t extra_pending_ = 0;      // reallocated blocks awaiting delivery
     std::size_t extra_received_ = 0;
-    std::string realloc_dead_;
+    // The kRealloc ruling, parsed once on arrival.
+    std::optional<ProcId> realloc_dead_;
     std::uint64_t realloc_dead_final_ = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> realloc_extras_;
+    std::vector<std::pair<ProcId, std::uint64_t>> realloc_extras_;
     bool payment_submitted_ = false;
 };
 

@@ -19,6 +19,25 @@ constexpr const char* kDisputesOpenedMetric = "dlsbl_referee_disputes_opened_tot
 constexpr const char* kDisputesResolvedMetric = "dlsbl_referee_disputes_resolved_total";
 constexpr const char* kAccusationsMetric = "dlsbl_referee_accusations_total";
 constexpr const char* kVerifyCacheMetric = "dlsbl_referee_verify_cache_total";
+
+bool any(const std::vector<bool>& set) { return std::ranges::find(set, true) != set.end(); }
+
+std::vector<bool> only(const RunContext& ctx, ProcId processor) {
+    std::vector<bool> set(ctx.processor_count());
+    set[processor] = true;
+    return set;
+}
+
+// The set's names in name order, comma-separated (verdict reasons, log).
+std::string name_list(const RunContext& ctx, const std::vector<bool>& set) {
+    std::string list;
+    for (const ProcId id : ctx.name_order()) {
+        if (!set[id]) continue;
+        if (!list.empty()) list += ",";
+        list += ctx.processor_names()[id];
+    }
+    return list;
+}
 }  // namespace
 
 RefereeCore::RefereeCore(RunContext& context)
@@ -27,7 +46,14 @@ RefereeCore::RefereeCore(RunContext& context)
       pending_churn_bids_(context.config().verify_batch),
       pending_payments_(context.config().verify_batch),
       churn_bid_tally_(context.processor_count()),
-      payment_tally_(context.processor_count()) {
+      payment_tally_(context.processor_count()),
+      fines_(context.processor_count()),
+      rewards_(context.processor_count(), 0.0),
+      compensations_(context.processor_count(), 0.0),
+      bid_vector_responses_(context.processor_count()),
+      bid_vector_expected_(context.processor_count()),
+      payments_(context.processor_count()),
+      churn_bids_(context.processor_count(), 0.0) {
     register_handlers();
     if (ctx_.churn_enabled()) {
         ctx_.clock().call_at(ctx_.config().churn_plan.policy.bid_timeout,
@@ -109,14 +135,16 @@ void RefereeCore::on_message(const WireMessage& message) {
 void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
     flush_deferred();  // verdict bytes must not depend on queued envelopes
     if (verdict_issued_) return;
+    const auto accuser = ctx_.sender_id(message);
+    if (!accuser) return;  // only processors accuse
     const auto evidence = wire::DoubleBidEvidenceView::parse(*message.payload);
     if (!evidence) return;
-    const std::string accuser{message.from};
     const std::string accused{evidence->accused};
+    const auto accused_id = ctx_.proc_id(accused);
 
-    // Substantiated iff: both messages carry valid signatures of `accused`,
-    // both parse as bids of `accused`, and the payloads differ.
-    const bool both_signed = evidence->first.signer == accused &&
+    // Substantiated iff: `accused` is a processor, both messages carry valid
+    // signatures of it, both parse as its bids, and the payloads differ.
+    const bool both_signed = accused_id && evidence->first.signer == accused &&
                              evidence->second.signer == accused &&
                              evidence->first.verify(ctx_.pki()) &&
                              evidence->second.verify(ctx_.pki());
@@ -134,10 +162,11 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
     }
     count_accusation("double-bid", substantiated);
     if (substantiated) {
-        issue_verdict({accused}, "double-bid by " + accused, /*terminate=*/true);
+        issue_verdict(only(ctx_, *accused_id), "double-bid by " + accused, /*terminate=*/true);
     } else {
         // "If the concerns are unfounded, P_j is penalized F." (§4 Bidding)
-        issue_verdict({accuser}, "unfounded double-bid accusation by " + accuser,
+        issue_verdict(only(ctx_, *accuser),
+                      "unfounded double-bid accusation by " + ctx_.processor_names()[*accuser],
                       /*terminate=*/true);
     }
 }
@@ -147,19 +176,27 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
 void RefereeCore::handle_alloc_complaint(const WireMessage& message) {
     flush_deferred();  // dispute handling emits observable requests
     if (verdict_issued_ || stage_ != DisputeStage::kNone) return;
+    const auto from = ctx_.sender_id(message);
+    // Only processors complain, and the LO cannot complain about itself.
+    if (!from || *from == ctx_.load_origin_id()) return;
     const auto complaint = wire::AllocComplaintView::parse(*message.payload);
     if (!complaint || complaint->complainant != message.from) return;
-    if (message.from == ctx_.load_origin()) return;  // the LO cannot complain about itself
 
     // The held blocks outlive this frame, so the open dispute owns a copy.
     open_complaint_ = complaint->to_owned();
+    complainant_ = *from;
     stage_ = DisputeStage::kAllocAwaitingBidVectors;
     count_dispute_opened("allocation");
-    bid_vector_responses_.clear();
-    bid_vector_expected_ = {ctx_.load_origin(), open_complaint_->complainant};
+    bid_vector_responses_.assign(ctx_.processor_count(), std::nullopt);
+    bid_vector_expected_.assign(ctx_.processor_count(), false);
+    bid_vector_expected_[ctx_.load_origin_id()] = true;
+    bid_vector_expected_[complainant_] = true;
+    bid_vectors_missing_ = 2;
     // "Processors P_lo and P_i submit their vector of bids" (§4).
-    for (const auto& target : bid_vector_expected_) {
-        ctx_.transport().unicast(name(), target, to_wire(MsgType::kBidVectorRequest), {});
+    for (const ProcId id : ctx_.name_order()) {
+        if (!bid_vector_expected_[id]) continue;
+        ctx_.transport().unicast(name(), ctx_.processor_names()[id],
+                                 to_wire(MsgType::kBidVectorRequest), {});
     }
 }
 
@@ -169,19 +206,20 @@ void RefereeCore::handle_bid_vector_response(const WireMessage& message) {
         stage_ != DisputeStage::kPaymentAwaitingBidVectors) {
         return;
     }
+    const auto from = ctx_.sender_id(message);
+    if (!from || !bid_vector_expected_[*from]) return;
     const auto body = wire::BidVectorView::parse(*message.payload);
     if (!body || body->submitter != message.from) return;
-    const std::string submitter{message.from};
-    if (!bid_vector_expected_.contains(submitter)) return;
     // Responses are held whole until every requested vector has arrived.
-    bid_vector_responses_[submitter] = body->to_owned();
-    if (bid_vector_responses_.size() != bid_vector_expected_.size()) return;
+    auto& response = bid_vector_responses_[*from];
+    if (!response) --bid_vectors_missing_;
+    response = body->to_owned();
+    if (bid_vectors_missing_ > 0) return;
 
-    const std::set<std::string> deviants = validate_bid_vectors();
-    if (!deviants.empty()) {
-        std::string who;
-        for (const auto& d : deviants) who += (who.empty() ? "" : ",") + d;
-        issue_verdict(deviants, "manipulated bid vector(s): " + who, /*terminate=*/true);
+    const ProcSet deviants = validate_bid_vectors();
+    if (any(deviants)) {
+        issue_verdict(deviants, "manipulated bid vector(s): " + name_list(ctx_, deviants),
+                      /*terminate=*/true);
         return;
     }
     if (stage_ == DisputeStage::kAllocAwaitingBidVectors) {
@@ -191,37 +229,41 @@ void RefereeCore::handle_bid_vector_response(const WireMessage& message) {
     }
 }
 
-std::set<std::string> RefereeCore::validate_bid_vectors() {
+RefereeCore::ProcSet RefereeCore::validate_bid_vectors() {
+    const std::size_t m = ctx_.processor_count();
     const obs::SpanContext verify_span = ctx_.spans().open(
         "verify:bid_vectors", name(), ctx_.clock().now(),
         dispute_span_.valid() ? dispute_span_.span_id : ctx_.phase_span().span_id);
-    std::set<std::string> deviants;
+    ProcSet deviants(m);
     // The same signed bid appears in every submitter's vector, so most of
     // the entry.verify() calls below are repeats — the Pki verification
     // cache absorbs them. Record hit/miss deltas for observability.
     const crypto::Pki::CacheStats cache_before = ctx_.pki().verify_cache_stats();
-    // Pass 1: structural screen (parse + binding checks) in the sequential
-    // loop's entry order; entries that pass go to signature verification.
-    // The same signed bid appears in every submitter's vector, so the whole
-    // screen typically holds m distinct signatures submitted m times —
-    // verify_many amortizes the distinct ones through the batch engine and
-    // replays the repeats as cache hits, byte-identical to per-entry
-    // verify() in the same order.
+    // Pass 1: structural screen (parse + binding checks), submitters in name
+    // order, each vector in its entry order; entries that pass go to
+    // signature verification. The whole screen typically holds m distinct
+    // signatures submitted m times — verify_many amortizes the distinct ones
+    // through the batch engine and replays the repeats as cache hits,
+    // byte-identical to per-entry verify() in the same order.
     struct ScreenedEntry {
-        const std::string* submitter;
+        ProcId submitter;
+        ProcId processor;  // the bid's signer
         const crypto::SignedMessage* entry;
-        wire::BidView bid;  // views into entry->payload (stable storage)
+        double bid;
     };
     std::vector<ScreenedEntry> screened;
-    for (const auto& [submitter, body] : bid_vector_responses_) {
-        for (const auto& entry : body.bids) {
+    for (const ProcId submitter : ctx_.name_order()) {
+        if (!bid_vector_responses_[submitter]) continue;
+        for (const auto& entry : bid_vector_responses_[submitter]->bids) {
             const auto bid = wire::BidView::parse(entry.payload);
-            if (bid && entry.signer == bid->processor && bid->job_id == ctx_.job_id()) {
-                screened.push_back({&submitter, &entry, *bid});
+            const auto processor = bid ? ctx_.proc_id(bid->processor) : std::nullopt;
+            if (processor && entry.signer == bid->processor && bid->job_id == ctx_.job_id()) {
+                screened.push_back({submitter, *processor, &entry, bid->bid});
             } else {
                 // Offense (iv): an entry that "fails authentication" —
-                // the submitter altered someone's signed bid.
-                deviants.insert(submitter);
+                // the submitter altered someone's signed bid, or passed off
+                // a non-processor's as a bid.
+                deviants[submitter] = true;
             }
         }
     }
@@ -239,24 +281,27 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
             verdicts[i] = screened[i].entry->verify(ctx_.pki()) ? 1 : 0;
         }
     }
-    // Pass 2: canonical-bid dedup over the verified entries, same order.
-    // value_of[processor] -> (payload bytes, bid) from the first valid entry.
-    std::map<std::string, std::pair<util::Bytes, double>, std::less<>> canonical;
+    // Pass 2: canonical-bid dedup over the verified entries, same order:
+    // each processor's first valid entry (payload bytes and bid) is canonical.
+    struct Canonical {
+        const util::Bytes* payload = nullptr;
+        double bid = 0.0;
+    };
+    std::vector<Canonical> canonical(m);
     for (std::size_t i = 0; i < screened.size(); ++i) {
         const auto& item = screened[i];
         if (verdicts[i] == 0) {
-            deviants.insert(*item.submitter);
+            deviants[item.submitter] = true;
             continue;
         }
-        auto it = canonical.find(item.bid.processor);
-        if (it == canonical.end()) {
-            canonical.emplace(std::string(item.bid.processor),
-                              std::make_pair(item.entry->payload, item.bid.bid));
-        } else if (it->second.first != item.entry->payload) {
+        auto& first = canonical[item.processor];
+        if (first.payload == nullptr) {
+            first = {&item.entry->payload, item.bid};
+        } else if (*first.payload != item.entry->payload) {
             // Two *valid* signatures by the same processor over different
             // bids: that processor double-signed (covers a submitter
             // re-signing its own altered entry).
-            deviants.insert(std::string(item.bid.processor));
+            deviants[item.processor] = true;
         }
     }
     const crypto::Pki::CacheStats cache_after = ctx_.pki().verify_cache_stats();
@@ -265,20 +310,20 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
         .inc(cache_after.hits - cache_before.hits);
     registry.counter(kVerifyCacheMetric, {{"outcome", "miss"}})
         .inc(cache_after.misses - cache_before.misses);
-    if (deviants.empty()) {
+    if (!any(deviants)) {
         // A submission must cover every processor to be usable.
-        for (const auto& [submitter, body] : bid_vector_responses_) {
-            if (body.bids.size() != ctx_.processor_count()) deviants.insert(submitter);
+        for (ProcId i = 0; i < m; ++i) {
+            const auto& response = bid_vector_responses_[i];
+            if (response && response->bids.size() != m) deviants[i] = true;
         }
     }
-    if (deviants.empty()) {
-        verified_bids_.clear();
-        for (const auto& [processor, entry] : canonical) {
-            verified_bids_[processor] = entry.second;
-        }
-        if (verified_bids_.size() != ctx_.processor_count()) {
+    if (!any(deviants)) {
+        if (std::ranges::all_of(canonical, [](const Canonical& c) { return c.payload; })) {
+            verified_bids_.resize(m);
+            for (std::size_t i = 0; i < m; ++i) verified_bids_[i] = canonical[i].bid;
+        } else {
             // Some processor's bid is missing entirely; blame submitters.
-            for (const auto& name : bid_vector_expected_) deviants.insert(name);
+            deviants = bid_vector_expected_;
         }
     }
     ctx_.spans().close(verify_span, ctx_.clock().now());
@@ -288,28 +333,25 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
 void RefereeCore::adjudicate_alloc_complaint() {
     const auto& complaint = *open_complaint_;
     const std::string& lo = ctx_.load_origin();
+    const ProcSet lo_fined = only(ctx_, ctx_.load_origin_id());
     const std::string& complainant = complaint.complainant;
 
     // Reconstruct the prescribed assignment from the verified bids.
-    std::vector<double> bids(ctx_.processor_count());
-    for (std::size_t i = 0; i < bids.size(); ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
+    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, verified_bids_};
     const auto alpha = dlt::optimal_allocation(instance);
     const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
-    const std::size_t expected = counts[ctx_.index_of(complainant)];
+    const std::size_t expected = counts[complainant_];
 
     // The shared bus is the witness (tamper-proof network, §4): what did the
     // LO actually put on the wire for the complainant?
-    const ShippedRecord* shipped = ctx_.shipped_to(complainant);
+    const ShippedRecord* shipped = ctx_.shipped_to(complainant_);
     const std::size_t valid = shipped ? shipped->valid_blocks : 0;
     const std::size_t invalid = shipped ? shipped->invalid_blocks : 0;
 
     if (invalid > 0) {
         // "the load unit integrity check failed" -> P_lo fined.
         count_accusation("allocation", /*substantiated=*/true);
-        issue_verdict({lo}, "load-unit integrity failure by " + lo, /*terminate=*/true);
+        issue_verdict(lo_fined, "load-unit integrity failure by " + lo, /*terminate=*/true);
         return;
     }
     if (valid > expected) {
@@ -321,9 +363,9 @@ void RefereeCore::adjudicate_alloc_complaint() {
         }
         count_accusation("allocation", authentic_held > expected);
         if (authentic_held > expected) {
-            issue_verdict({lo}, "over-shipment by " + lo, /*terminate=*/true);
+            issue_verdict(lo_fined, "over-shipment by " + lo, /*terminate=*/true);
         } else {
-            issue_verdict({complainant},
+            issue_verdict(only(ctx_, complainant_),
                           "unsubstantiated over-shipment claim by " + complainant,
                           /*terminate=*/true);
         }
@@ -334,33 +376,32 @@ void RefereeCore::adjudicate_alloc_complaint() {
         stage_ = DisputeStage::kAllocAwaitingMediation;
         MediateRequestBody request;
         request.beneficiary = complainant;
-        const std::size_t lo_index = ctx_.index_of(complainant);
         std::size_t start = 0;
-        for (std::size_t i = 0; i < lo_index; ++i) start += counts[i];
+        for (std::size_t i = 0; i < complainant_; ++i) start += counts[i];
         for (std::size_t k = valid; k < expected; ++k) {
             request.block_ids.push_back((start + k) % ctx_.config().block_count);
         }
-        ctx_.transport().unicast(name(), ctx_.load_origin(),
-                                 to_wire(MsgType::kMediateRequest),
+        ctx_.transport().unicast(name(), lo, to_wire(MsgType::kMediateRequest),
                                  wire::flat_encode(request));
         return;
     }
     // valid == expected: the bus shows a correct assignment; the claim is
     // unfounded -> complainant fined.
     count_accusation("allocation", /*substantiated=*/false);
-    issue_verdict({complainant}, "unfounded allocation complaint by " + complainant,
+    issue_verdict(only(ctx_, complainant_), "unfounded allocation complaint by " + complainant,
                   /*terminate=*/true);
 }
 
 void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
     flush_deferred();  // every branch below issues a verdict
     if (stage_ != DisputeStage::kAllocAwaitingMediation) return;
-    if (message.from != ctx_.load_origin()) return;
+    if (ctx_.sender_id(message) != ctx_.load_origin_id()) return;
     const auto batch = wire::LoadBatchView::parse(*message.payload);
     const std::string& lo = ctx_.load_origin();
+    const ProcSet lo_fined = only(ctx_, ctx_.load_origin_id());
     if (!batch) {
         count_accusation("allocation", /*substantiated=*/true);
-        issue_verdict({lo}, "malformed mediation response by " + lo, /*terminate=*/true);
+        issue_verdict(lo_fined, "malformed mediation response by " + lo, /*terminate=*/true);
         return;
     }
     wire::Cursor block_records = batch->blocks;
@@ -370,7 +411,7 @@ void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
                                                   block_view->to_owned())) {
             // "load unit integrity fails, P_lo is fined"
             count_accusation("allocation", /*substantiated=*/true);
-            issue_verdict({lo}, "mediated block integrity failure by " + lo,
+            issue_verdict(lo_fined, "mediated block integrity failure by " + lo,
                           /*terminate=*/true);
             return;
         }
@@ -378,21 +419,39 @@ void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
     // The LO produced authentic blocks it had verifiably not shipped (bus
     // record): the short assignment is substantiated.
     count_accusation("allocation", /*substantiated=*/true);
-    issue_verdict({lo}, "short-shipment by " + lo, /*terminate=*/true);
+    issue_verdict(lo_fined, "short-shipment by " + lo, /*terminate=*/true);
 }
 
 void RefereeCore::handle_mediate_refuse(const WireMessage& message) {
     flush_deferred();  // the refusal verdict is observable
     if (stage_ != DisputeStage::kAllocAwaitingMediation) return;
-    if (message.from != ctx_.load_origin()) return;
+    if (ctx_.sender_id(message) != ctx_.load_origin_id()) return;
     // "If P_lo refuses to transmit the correct number of load units ...
     // P_lo is fined."
     count_accusation("allocation", /*substantiated=*/true);
-    issue_verdict({ctx_.load_origin()}, "mediation refused by " + ctx_.load_origin(),
+    issue_verdict(only(ctx_, ctx_.load_origin_id()), "mediation refused by " + ctx_.load_origin(),
                   /*terminate=*/true);
 }
 
 // ---- meters and payments ----------------------------------------------------
+
+util::Bytes RefereeCore::broadcast_meters() {
+    meters_broadcast_ = true;
+    ctx_.set_phase(Phase::kPayments);
+    MeterVectorBody body;
+    body.job_id = ctx_.job_id();
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (ctx_.meters().finished(i)) {
+            body.phis.emplace_back(ctx_.processor_names()[i], ctx_.meters().elapsed(i));
+        }
+    }
+    util::Bytes payload = wire::flat_encode(body);
+    const obs::SpanContext meter_span = ctx_.spans().instant(
+        "msg:meter_broadcast", name(), ctx_.clock().now(), ctx_.phase_span().span_id);
+    ctx_.transport().broadcast(name(), to_wire(MsgType::kMeterBroadcast), payload,
+                               meter_span.span_id);
+    return payload;
+}
 
 void RefereeCore::on_all_meters_done() {
     flush_deferred();  // the φ broadcast opens the payments phase
@@ -403,20 +462,7 @@ void RefereeCore::on_all_meters_done() {
         maybe_finish_meters();
         return;
     }
-    meters_broadcast_ = true;
-    ctx_.set_phase(Phase::kPayments);
-    MeterVectorBody body;
-    body.job_id = ctx_.job_id();
-    for (const auto& processor : ctx_.processor_names()) {
-        if (ctx_.meters().finished(processor)) {
-            body.phis.emplace_back(processor, ctx_.meters().elapsed(processor));
-        }
-    }
-    const obs::SpanContext meter_span = ctx_.spans().instant(
-        "msg:meter_broadcast", name(), ctx_.clock().now(),
-        ctx_.phase_span().span_id);
-    ctx_.transport().broadcast(name(), to_wire(MsgType::kMeterBroadcast),
-                               wire::flat_encode(body), meter_span.span_id);
+    broadcast_meters();
 }
 
 void RefereeCore::handle_payment_vector(const WireMessage& message) {
@@ -433,7 +479,11 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (ctx_.config().verify_batch > 1) {
         pending_payments_.push(*from, message.payload, *view);
         payment_tally_.queued(*from);
-        if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
+        // Under churn dead bidders never submit; the payment deadline settles
+        // without them, but a full set of active submissions settles early.
+        if (pending_payments_.full() || payment_tally_.active_covered() >= payment_quorum()) {
+            flush_deferred();
+        }
         return;
     }
     if (!view->verify(ctx_.pki())) {
@@ -442,25 +492,25 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     apply_payment(*from, *view, true);
 }
 
-bool RefereeCore::payment_quorum_possible() const {
-    // Under churn dead bidders never submit; the payment deadline settles
-    // without them, but a full set of active submissions settles early.
-    const std::size_t quorum =
-        ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
-    return payment_tally_.active_covered() >= quorum;
-}
-
 void RefereeCore::apply_payment(ProcId id, const wire::SignedMessageView& envelope,
                                 bool verified) {
     if (!verified) return;  // unauthenticated submissions are discarded
-    const std::string& from = ctx_.processor_names()[id];
     const auto body = wire::PaymentView::parse(envelope.payload);
-    if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
+    if (!body || body->processor != ctx_.processor_names()[id] ||
+        body->job_id != ctx_.job_id()) {
+        return;
+    }
     if (body->payment_count != ctx_.processor_count()) return;
 
     payment_tally_.record(id);
-    payment_payloads_[from].emplace_back(envelope.payload.begin(), envelope.payload.end());
-    auto& values = payment_values_[from];
+    auto& submission = payments_[id];
+    if (!submission) {
+        submission.emplace();
+        submission->first_payload.assign(envelope.payload.begin(), envelope.payload.end());
+    } else if (!std::ranges::equal(submission->first_payload, envelope.payload)) {
+        submission->contradictory = true;
+    }
+    auto& values = submission->values;
     values.clear();
     values.reserve(body->payment_count);
     wire::Cursor payments = body->payments;
@@ -468,9 +518,8 @@ void RefereeCore::apply_payment(ProcId id, const wire::SignedMessageView& envelo
         values.push_back(payments.f64());
     }
 
-    const std::size_t quorum =
-        ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
-    if (payment_payloads_.size() == quorum && !payment_evaluation_scheduled_) {
+    if (payment_tally_.active_recorded() == payment_quorum() &&
+        !payment_evaluation_scheduled_) {
         // Defer one event so same-timestamp contradictory submissions are
         // all in before judging.
         payment_evaluation_scheduled_ = true;
@@ -492,33 +541,26 @@ void RefereeCore::evaluate_payments() {
     (void)verify_span;
 
     // Contradictory submissions (§4: "If there are multiple contradictory
-    // messages from P_i, the referee fines it").
-    std::set<std::string> contradictory;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory.insert(submitter);
-        }
-    }
-
-    // Equality check across submitters.
-    bool all_equal = contradictory.empty();
-    if (all_equal) {
-        const auto& reference = payment_values_.begin()->second;
-        for (const auto& [submitter, values] : payment_values_) {
-            if (values != reference) {
-                all_equal = false;
-                break;
-            }
-        }
+    // messages from P_i, the referee fines it"), and equality across
+    // submitters against the first in name order, which settles if all agree.
+    const std::size_t m = ctx_.processor_count();
+    ProcSet contradictory(m);
+    const std::vector<double>* reference = nullptr;
+    bool all_equal = true;
+    for (const ProcId id : ctx_.name_order()) {
+        if (!payments_[id]) continue;
+        contradictory[id] = payments_[id]->contradictory;
+        if (reference == nullptr) reference = &payments_[id]->values;
+        if (contradictory[id] || payments_[id]->values != *reference) all_equal = false;
     }
     if (all_equal) {
-        settle(payment_values_.begin()->second);
+        settle(*reference);
         return;
     }
 
     // "If there is inequality among the vectors, the bids are provided to
     // the referee which computes the payments."
-    if (!contradictory.empty() && contradictory.size() == ctx_.processor_count()) {
+    if (std::ranges::find(contradictory, false) == contradictory.end()) {
         // Degenerate: nobody is trustworthy; fine everyone and stop.
         issue_verdict(contradictory, "all payment vectors contradictory",
                       /*terminate=*/true);
@@ -526,10 +568,10 @@ void RefereeCore::evaluate_payments() {
     }
     stage_ = DisputeStage::kPaymentAwaitingBidVectors;
     count_dispute_opened("payment");
-    bid_vector_responses_.clear();
-    bid_vector_expected_.clear();
+    bid_vector_responses_.assign(m, std::nullopt);
+    bid_vector_expected_.assign(m, true);
+    bid_vectors_missing_ = m;
     for (const auto& processor : ctx_.processor_names()) {
-        bid_vector_expected_.insert(processor);
         ctx_.transport().unicast(name(), processor, to_wire(MsgType::kBidVectorRequest),
                                  {});
     }
@@ -537,49 +579,41 @@ void RefereeCore::evaluate_payments() {
 
 std::vector<double> RefereeCore::execution_values() const {
     const std::size_t m = ctx_.processor_count();
-    std::vector<double> bids(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
+    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, verified_bids_};
     const auto alpha = dlt::optimal_allocation(instance);
     const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
     std::vector<double> exec(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        const auto& processor = ctx_.processor_names()[i];
+    for (ProcId i = 0; i < m; ++i) {
         const double fraction = static_cast<double>(counts[i]) /
                                 static_cast<double>(ctx_.config().block_count);
-        if (fraction > 0.0 && ctx_.meters().finished(processor)) {
-            exec[i] = ctx_.meters().elapsed(processor) / fraction;
+        if (fraction > 0.0 && ctx_.meters().finished(i)) {
+            exec[i] = ctx_.meters().elapsed(i) / fraction;
         } else {
-            exec[i] = bids[i];
+            exec[i] = verified_bids_[i];
         }
     }
     return exec;
 }
 
-void RefereeCore::recompute_and_settle() {
-    const std::size_t m = ctx_.processor_count();
-    std::vector<double> bids(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
+RefereeCore::ProcSet RefereeCore::wrong_payment_vectors(
+    const std::vector<double>& expected) const {
+    ProcSet wrong(payments_.size());
+    for (std::size_t i = 0; i < payments_.size(); ++i) {
+        wrong[i] = payments_[i] &&
+                   (payments_[i]->contradictory || payments_[i]->values != expected);
     }
+    return wrong;
+}
+
+void RefereeCore::recompute_and_settle() {
     OBS_SCOPE("payments");
-    const auto mechanism = ctx_.mechanisms().get(ctx_.config().kind, ctx_.config().z, bids);
+    const auto mechanism =
+        ctx_.mechanisms().get(ctx_.config().kind, ctx_.config().z, verified_bids_);
     const auto exec = execution_values();
     const auto breakdown = mechanism->payments(std::span<const double>(exec));
 
-    std::set<std::string> wrong;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        bool contradictory = false;
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory = true;
-        }
-        if (contradictory || payment_values_.at(submitter) != breakdown.payment) {
-            wrong.insert(submitter);
-        }
-    }
-    if (!wrong.empty()) {
+    const ProcSet wrong = wrong_payment_vectors(breakdown.payment);
+    if (any(wrong)) {
         // "The referee fines F to the x processors who incorrectly computed
         // the payments ... distributes xF/(m-x) to each of the m-x correct
         // processors." The protocol is not aborted: work is done, payments
@@ -606,9 +640,14 @@ void RefereeCore::settle(const std::vector<double>& payments) {
 
 // ---- fines -----------------------------------------------------------------
 
-void RefereeCore::issue_verdict(const std::set<std::string>& deviants,
-                                const std::string& reason, bool terminate) {
-    if (deviants.empty()) throw std::logic_error("Referee: verdict without deviants");
+void RefereeCore::issue_verdict(const ProcSet& deviants, const std::string& reason,
+                                bool terminate) {
+    // The fined read in name order: ledger, fine spans and kTerminate body.
+    std::vector<ProcId> fined;
+    for (const ProcId id : ctx_.name_order()) {
+        if (deviants[id]) fined.push_back(id);
+    }
+    if (fined.empty()) throw std::logic_error("Referee: verdict without deviants");
     if (!ctx_.fine_posted()) {
         throw std::logic_error("Referee: verdict before the fine F was posted");
     }
@@ -618,9 +657,9 @@ void RefereeCore::issue_verdict(const std::set<std::string>& deviants,
                                   reason + " fine=" + std::to_string(fine));
 
     auto& registry = ctx_.metrics_registry();
-    registry.counter(kFinesMetric).inc(deviants.size());
+    registry.counter(kFinesMetric).inc(fined.size());
     registry.gauge(kFinesAmountMetric)
-        .add(fine * static_cast<double>(deviants.size()));
+        .add(fine * static_cast<double>(fined.size()));
     // Fine spans parent on the dispute that produced the verdict (captured
     // before resolution closes it; phase span for dispute-free verdicts).
     const std::uint64_t fine_parent =
@@ -628,55 +667,44 @@ void RefereeCore::issue_verdict(const std::set<std::string>& deviants,
     count_dispute_resolved();  // no-op when the verdict needed no dispute
 
     util::log_debug("referee", "verdict: " + reason +
-                                   " deviants=" + std::to_string(deviants.size()) +
+                                   " deviants=" + std::to_string(fined.size()) +
                                    " fine=" + std::to_string(fine) +
                                    (terminate ? " (terminating)" : ""));
     auto& events = obs::EventLog::instance();
     if (events.enabled(obs::LogLevel::Debug)) {
-        std::string deviant_list;
-        for (const auto& deviant : deviants) {
-            if (!deviant_list.empty()) deviant_list += ",";
-            deviant_list += deviant;
-        }
         events.emit(obs::Event(obs::LogLevel::Debug, "referee", "verdict")
                         .time(ctx_.clock().now())
                         .str("reason", reason)
-                        .str("deviants", deviant_list)
+                        .str("deviants", name_list(ctx_, deviants))
                         .num("fine", fine)
                         .boolean("terminate", terminate));
     }
 
     double pool = 0.0;
-    for (const auto& deviant : deviants) {
+    for (const ProcId id : fined) {
+        const std::string& deviant = ctx_.processor_names()[id];
         // One instant span per fined processor.
-        ctx_.spans().instant("fine:" + deviant, name(), ctx_.clock().now(),
-                             fine_parent);
+        ctx_.spans().instant("fine:" + deviant, name(), ctx_.clock().now(), fine_parent);
         ctx_.ledger().transfer(deviant, name(), fine, "fine: " + reason);
-        fines_[deviant] += fine;
+        fines_[id] = fines_[id].value_or(0.0) + fine;
         pool += fine;
     }
 
-    std::vector<std::string> honest;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (!deviants.contains(processor)) honest.push_back(processor);
+    std::vector<ProcId> honest;
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (!deviants[i]) honest.push_back(i);
     }
 
     if (!terminate) {
         // Payment-phase verdict: work is done; split xF/(m-x) and continue.
-        if (!honest.empty() && pool > 0.0) {
-            const double share = pool / static_cast<double>(honest.size());
-            for (const auto& processor : honest) {
-                ctx_.ledger().transfer(name(), processor, share, "informer reward");
-                rewards_[processor] += share;
-            }
-        }
+        split_pool(honest, pool);
         return;
     }
 
     ctx_.mark_terminated(reason);
     TerminateBody body;
     body.reason = reason;
-    body.fined.assign(deviants.begin(), deviants.end());
+    for (const ProcId id : fined) body.fined.push_back(ctx_.processor_names()[id]);
     ctx_.transport().broadcast(name(), to_wire(MsgType::kTerminate),
                                wire::flat_encode(body));
 
@@ -686,23 +714,30 @@ void RefereeCore::issue_verdict(const std::set<std::string>& deviants,
     // deferred until the in-flight executions finish (their events are
     // already scheduled and the meter is tamper-proof).
     PendingTermination pending;
-    pending.deviants = deviants;
     pending.pool = pool;
-    for (const auto& processor : honest) {
-        if (ctx_.meters().started(processor)) {
-            pending.commenced.push_back(processor);
-            if (!ctx_.meters().finished(processor)) pending.awaiting.insert(processor);
+    pending.awaiting.assign(ctx_.processor_count(), false);
+    for (const ProcId id : honest) {
+        if (ctx_.meters().started(id)) {
+            pending.commenced.push_back(id);
+            if (!ctx_.meters().finished(id)) {
+                pending.awaiting[id] = true;
+                ++pending.awaiting_count;
+            }
         }
     }
+    pending.honest = std::move(honest);
     pending_termination_ = std::move(pending);
-    if (pending_termination_->awaiting.empty()) finalize_termination_payouts();
+    if (pending_termination_->awaiting_count == 0) finalize_termination_payouts();
 }
 
-void RefereeCore::on_meter_stopped(const std::string& processor) {
+void RefereeCore::on_meter_stopped(ProcId processor) {
     flush_deferred();  // payouts below must not race queued envelopes
     if (!pending_termination_) return;
-    pending_termination_->awaiting.erase(processor);
-    if (pending_termination_->awaiting.empty()) finalize_termination_payouts();
+    if (pending_termination_->awaiting[processor]) {
+        pending_termination_->awaiting[processor] = false;
+        --pending_termination_->awaiting_count;
+    }
+    if (pending_termination_->awaiting_count == 0) finalize_termination_payouts();
 }
 
 void RefereeCore::finalize_termination_payouts() {
@@ -712,26 +747,26 @@ void RefereeCore::finalize_termination_payouts() {
     double pool = pending.pool;
     // Compensation α_i w̃_i == φ_i, paid while the pool lasts (the paper's
     // F >= Σ_j α_j w̃_j bound guarantees it always does; E12 probes below).
-    for (const auto& processor : pending.commenced) {
-        const double comp = ctx_.meters().elapsed(processor);
+    for (const ProcId id : pending.commenced) {
+        const double comp = ctx_.meters().elapsed(id);
         if (comp <= pool) {
-            ctx_.ledger().transfer(name(), processor, comp, "termination comp");
-            compensations_[processor] += comp;
+            ctx_.ledger().transfer(name(), ctx_.processor_names()[id], comp,
+                                   "termination comp");
+            compensations_[id] += comp;
             pool -= comp;
         }
     }
+    split_pool(pending.honest, pool);
+}
+
+void RefereeCore::split_pool(const std::vector<ProcId>& honest, double pool) {
     // "The remainder is evenly distributed among the m - x non-deviating
     // processors."
-    std::vector<std::string> honest;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (!pending.deviants.contains(processor)) honest.push_back(processor);
-    }
-    if (!honest.empty() && pool > 0.0) {
-        const double share = pool / static_cast<double>(honest.size());
-        for (const auto& processor : honest) {
-            ctx_.ledger().transfer(name(), processor, share, "informer reward");
-            rewards_[processor] += share;
-        }
+    if (honest.empty() || !(pool > 0.0)) return;
+    const double share = pool / static_cast<double>(honest.size());
+    for (const ProcId id : honest) {
+        ctx_.ledger().transfer(name(), ctx_.processor_names()[id], share, "informer reward");
+        rewards_[id] += share;
     }
 }
 
@@ -765,16 +800,19 @@ bool RefereeCore::churn_bid_set_possibly_complete() const {
 void RefereeCore::apply_churn_bid(ProcId id, const wire::SignedMessageView& envelope,
                                   bool verified) {
     if (!verified) return;
-    const std::string& from = ctx_.processor_names()[id];
     const auto body = wire::BidView::parse(envelope.payload);
-    if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
+    if (!body || body->processor != ctx_.processor_names()[id] ||
+        body->job_id != ctx_.job_id()) {
+        return;
+    }
     // First bid wins: a stale rejoin replaying the identical signed bid is
     // benign, and a genuinely different second bid is offense (i) — the
     // peers' accusation path handles that, not the churn recorder.
     if (churn_bid_tally_.recorded(id)) return;
     churn_bid_tally_.record(id);
-    churn_bids_[from] = body->bid;
-    if (!churn_bids_complete_ && churn_bids_.size() == ctx_.processor_count()) {
+    churn_bids_[id] = body->bid;
+    if (!churn_bids_complete_ &&
+        churn_bid_tally_.active_recorded() == ctx_.processor_count()) {
         complete_churn_bidding();
     }
 }
@@ -798,20 +836,18 @@ void RefereeCore::flush_deferred() {
 
 void RefereeCore::complete_churn_bidding() {
     churn_bids_complete_ = true;
-    std::vector<std::string> active;
+    std::vector<ProcId> active;
     std::vector<double> bids;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_excluded_.contains(processor)) continue;
-        active.push_back(processor);
-        bids.push_back(churn_bids_.at(processor));
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (churn_bid_tally_.excluded(i)) continue;
+        active.push_back(i);
+        bids.push_back(churn_bids_[i]);
     }
     dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
     const auto alpha = dlt::optimal_allocation(instance);
     const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
     churn_counts_.assign(ctx_.processor_count(), 0);
-    for (std::size_t j = 0; j < active.size(); ++j) {
-        churn_counts_[ctx_.index_of(active[j])] = counts[j];
-    }
+    for (std::size_t j = 0; j < active.size(); ++j) churn_counts_[active[j]] = counts[j];
     if (!churn_watchdog_scheduled_) {
         churn_watchdog_scheduled_ = true;
         ctx_.clock().call_after(ctx_.config().churn_plan.policy.processing_grace,
@@ -822,34 +858,35 @@ void RefereeCore::complete_churn_bidding() {
 void RefereeCore::check_bids() {
     flush_deferred();  // the deadline ruling depends on who verifiably bid
     if (ctx_.terminated() || churn_bids_complete_) return;
-    std::vector<std::string> missing;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (!churn_bids_.contains(processor)) missing.push_back(processor);
+    std::vector<ProcId> missing;
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (!churn_bid_tally_.recorded(i)) missing.push_back(i);
     }
     if (missing.empty()) {
         complete_churn_bidding();
         return;
     }
-    for (const auto& processor : missing) churn_excluded_.insert(processor);
-    if (churn_excluded_.contains(ctx_.load_origin())) {
+    for (const ProcId id : missing) churn_bid_tally_.exclude(id);
+    if (churn_bid_tally_.excluded(ctx_.load_origin_id())) {
         churn_terminate("load origin excluded at bid deadline");
         return;
     }
-    if (churn_active_count() < 2) {
+    if (churn_bid_tally_.active() < 2) {
         churn_terminate("fewer than two active bidders");
         return;
     }
     ctx_.metrics_registry().counter("dlsbl_churn_exclusions_total").inc(missing.size());
-    for (const auto& processor : missing) {
+    ExcludeBody body;
+    body.job_id = ctx_.job_id();
+    for (const ProcId id : missing) {
+        const std::string& processor = ctx_.processor_names()[id];
         ctx_.transport().note_churn(ctx_.clock().now(), processor,
                                     "excluded reason=bid-timeout");
         ctx_.spans().instant("churn:exclude", processor, ctx_.clock().now(),
                              ctx_.run_span().span_id);
+        body.excluded.push_back(processor);  // processor-index order
     }
     ctx_.adjust_expected_workers(-static_cast<std::ptrdiff_t>(missing.size()));
-    ExcludeBody body;
-    body.job_id = ctx_.job_id();
-    body.excluded = missing;  // processor-index order
     ctx_.transport().broadcast(name(), to_wire(MsgType::kExclude),
                                wire::flat_encode(body));
     complete_churn_bidding();
@@ -858,32 +895,29 @@ void RefereeCore::check_bids() {
 void RefereeCore::check_processing() {
     flush_deferred();  // terminate/realloc rulings are observable
     if (ctx_.terminated() || settled_ || meters_broadcast_) return;
-    std::vector<std::string> unstarted;
-    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
-        const auto& processor = ctx_.processor_names()[i];
-        if (churn_excluded_.contains(processor) || processor == churn_dead_) continue;
-        if (churn_counts_[i] > 0 && !ctx_.meters().started(processor)) {
-            unstarted.push_back(processor);
-        }
+    std::vector<ProcId> unstarted;
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (churn_bid_tally_.excluded(i) || churn_dead_ == i) continue;
+        if (churn_counts_[i] > 0 && !ctx_.meters().started(i)) unstarted.push_back(i);
     }
     if (unstarted.empty()) return;
     if (unstarted.size() > 1 || realloc_done_) {
         churn_terminate("multiple processors failed");
         return;
     }
-    const std::string dead = unstarted.front();
-    if (dead == ctx_.load_origin()) {
+    const ProcId dead = unstarted.front();
+    if (dead == ctx_.load_origin_id()) {
         churn_terminate("load origin never started processing");
         return;
     }
     // The dead assignee will never report a completion.
     ctx_.adjust_expected_workers(-1);
     ctx_.metrics_registry().counter("dlsbl_churn_meters_lost_total").inc();
-    do_reallocate(dead, churn_counts_[ctx_.index_of(dead)], 0);
+    do_reallocate(dead, churn_counts_[dead], 0);
     maybe_finish_meters();
 }
 
-void RefereeCore::on_meter_lost(const std::string& processor, std::size_t exec_blocks,
+void RefereeCore::on_meter_lost(ProcId processor, std::size_t exec_blocks,
                                 std::size_t blocks_done) {
     if (ctx_.terminated() || settled_) return;
     ++pending_adjudications_;
@@ -893,7 +927,7 @@ void RefereeCore::on_meter_lost(const std::string& processor, std::size_t exec_b
             --pending_adjudications_;
             flush_deferred();  // adjudication outcome is observable
             if (ctx_.terminated() || settled_) return;
-            if (processor == ctx_.load_origin()) {
+            if (processor == ctx_.load_origin_id()) {
                 // Nobody else holds the data set: the round cannot recover.
                 churn_terminate("load origin crashed");
                 return;
@@ -907,34 +941,34 @@ void RefereeCore::on_meter_lost(const std::string& processor, std::size_t exec_b
         });
 }
 
-void RefereeCore::do_reallocate(const std::string& dead, std::size_t exec_blocks,
+void RefereeCore::do_reallocate(ProcId dead, std::size_t exec_blocks,
                                 std::size_t blocks_done) {
     realloc_done_ = true;
     churn_dead_ = dead;
-    const std::size_t dead_index = ctx_.index_of(dead);
-    const std::size_t assigned = churn_counts_[dead_index];
+    const std::size_t assigned = churn_counts_[dead];
     // A deviant LO can make exec diverge from the prescription; clamp so the
     // reallocated range stays inside the dead processor's assignment.
     const std::size_t remaining = std::min(exec_blocks - blocks_done, assigned);
     churn_dead_final_ = assigned - remaining;
-    churn_counts_[dead_index] = assigned - remaining;
+    churn_counts_[dead] = assigned - remaining;
     churn_realloc_blocks_ = remaining;
 
-    std::vector<std::string> survivors;
+    std::vector<ProcId> survivors;
     std::vector<double> bids;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_excluded_.contains(processor) || processor == dead) continue;
-        survivors.push_back(processor);
-        bids.push_back(churn_bids_.at(processor));
+    for (ProcId i = 0; i < ctx_.processor_count(); ++i) {
+        if (churn_bid_tally_.excluded(i) || i == dead) continue;
+        survivors.push_back(i);
+        bids.push_back(churn_bids_[i]);
     }
     if (survivors.empty()) {
         churn_terminate("no survivors for reallocation");
         return;
     }
 
+    const std::string& dead_name = ctx_.processor_names()[dead];
     ReallocBody body;
     body.job_id = ctx_.job_id();
-    body.dead = dead;
+    body.dead = dead_name;
     body.dead_final = churn_dead_final_;
     if (remaining > 0) {
         std::vector<std::size_t> extra_counts;
@@ -952,8 +986,8 @@ void RefereeCore::do_reallocate(const std::string& dead, std::size_t exec_blocks
         std::ptrdiff_t granted = 0;
         for (std::size_t j = 0; j < survivors.size(); ++j) {
             if (extra_counts[j] == 0) continue;
-            body.extras.emplace_back(survivors[j], extra_counts[j]);
-            churn_counts_[ctx_.index_of(survivors[j])] += extra_counts[j];
+            body.extras.emplace_back(ctx_.processor_names()[survivors[j]], extra_counts[j]);
+            churn_counts_[survivors[j]] += extra_counts[j];
             ++granted;
         }
         // Every granted extra produces exactly one more execution completion.
@@ -963,7 +997,7 @@ void RefereeCore::do_reallocate(const std::string& dead, std::size_t exec_blocks
     registry.counter("dlsbl_churn_reallocations_total").inc();
     registry.counter("dlsbl_churn_realloc_blocks_total").inc(remaining);
     ctx_.transport().note_churn(ctx_.clock().now(), name(),
-                                "realloc dead=" + dead +
+                                "realloc dead=" + dead_name +
                                     " final=" + std::to_string(churn_dead_final_) +
                                     " remaining=" + std::to_string(remaining) +
                                     " extras=" + std::to_string(body.extras.size()));
@@ -980,20 +1014,7 @@ void RefereeCore::maybe_finish_meters() {
         ctx_.finished_workers() != ctx_.expected_workers()) {
         return;
     }
-    meters_broadcast_ = true;
-    ctx_.set_phase(Phase::kPayments);
-    MeterVectorBody body;
-    body.job_id = ctx_.job_id();
-    for (const auto& processor : ctx_.processor_names()) {
-        if (ctx_.meters().finished(processor)) {
-            body.phis.emplace_back(processor, ctx_.meters().elapsed(processor));
-        }
-    }
-    churn_meter_payload_ = wire::flat_encode(body);
-    const obs::SpanContext meter_span = ctx_.spans().instant(
-        "msg:meter_broadcast", name(), ctx_.clock().now(), ctx_.phase_span().span_id);
-    ctx_.transport().broadcast(name(), to_wire(MsgType::kMeterBroadcast),
-                               churn_meter_payload_, meter_span.span_id);
+    churn_meter_payload_ = broadcast_meters();
     const double timeout = ctx_.config().churn_plan.policy.payment_timeout;
     ctx_.clock().call_after(timeout, [this] {
         if (settled_ || ctx_.terminated() || verdict_issued_) return;
@@ -1015,41 +1036,23 @@ void RefereeCore::maybe_finish_meters() {
 void RefereeCore::churn_evaluate_payments() {
     flush_deferred();  // settle over every submission that has arrived
     if (settled_ || ctx_.terminated()) return;
-    ChurnSettlementInputs inputs;
-    inputs.kind = ctx_.config().kind;
-    inputs.z = ctx_.config().z;
-    inputs.block_count = ctx_.config().block_count;
-    inputs.names = ctx_.processor_names();
-    inputs.excluded = churn_excluded_;
-    inputs.bids = churn_bids_;
-    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
-        const auto& processor = ctx_.processor_names()[i];
-        if (churn_excluded_.contains(processor)) continue;
-        inputs.final_counts[processor] = churn_counts_[i];
-    }
-    for (const auto& processor : ctx_.processor_names()) {
-        if (ctx_.meters().finished(processor)) {
-            inputs.phis[processor] = ctx_.meters().elapsed(processor);
-        }
+    const std::size_t m = ctx_.processor_count();
+    ChurnSettlementInputs inputs{ctx_.config().kind, ctx_.config().z,
+                                 ctx_.config().block_count, churn_bids_,
+                                 ProcSet(m), churn_counts_,
+                                 std::vector<std::optional<double>>(m)};
+    for (ProcId i = 0; i < m; ++i) {
+        inputs.excluded[i] = churn_bid_tally_.excluded(i);
+        if (ctx_.meters().finished(i)) inputs.phis[i] = ctx_.meters().elapsed(i);
     }
     const std::vector<double> canonical = churn_settlement_payments(inputs, ctx_.mechanisms());
 
     // Submitted vectors that disagree with the canonical settlement are
     // offense (iii); missing submissions (dead processors) are not fined —
     // death is not an offense.
-    std::set<std::string> wrong;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        bool contradictory = false;
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory = true;
-        }
-        if (contradictory || payment_values_.at(submitter) != canonical) {
-            wrong.insert(submitter);
-        }
-    }
-    if (!wrong.empty()) {
-        issue_verdict(wrong, "incorrect payment vector(s) under churn",
-                      /*terminate=*/false);
+    const ProcSet wrong = wrong_payment_vectors(canonical);
+    if (any(wrong)) {
+        issue_verdict(wrong, "incorrect payment vector(s) under churn", /*terminate=*/false);
     }
     settle(canonical);
 }

@@ -13,9 +13,7 @@
 // world only through the context's Clock/Transport pair.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,23 +37,21 @@ class RefereeCore final : public Endpoint {
     // Invoked by the context for each meter that stops after a terminating
     // verdict: the §4 termination rule pays commenced processors α_i w̃_i,
     // which is exactly the metered time φ_i — known only once they finish.
-    void on_meter_stopped(const std::string& processor);
+    void on_meter_stopped(ProcId processor);
 
     // Invoked by the context when a crash interrupts an execution: the
     // tamper-proof meter stopped with `blocks_done` of `exec_blocks` proved.
     // The referee adjudicates after the plan's detection timeout and
     // reallocates the undone blocks over the survivors (churn mode only).
-    void on_meter_lost(const std::string& processor, std::size_t exec_blocks,
-                       std::size_t blocks_done);
+    void on_meter_lost(ProcId processor, std::size_t exec_blocks, std::size_t blocks_done);
 
-    // --- inspection ----------------------------------------------------------
-    [[nodiscard]] const std::map<std::string, double>& fines() const noexcept {
+    // --- inspection (one entry per processor, indexed by ProcId) -------------
+    // A fine of F = 0 is still a fine: nullopt marks a processor never fined.
+    [[nodiscard]] const std::vector<std::optional<double>>& fines() const noexcept {
         return fines_;
     }
-    [[nodiscard]] const std::map<std::string, double>& rewards() const noexcept {
-        return rewards_;
-    }
-    [[nodiscard]] const std::map<std::string, double>& compensations() const noexcept {
+    [[nodiscard]] const std::vector<double>& rewards() const noexcept { return rewards_; }
+    [[nodiscard]] const std::vector<double>& compensations() const noexcept {
         return compensations_;
     }
     [[nodiscard]] bool settled() const noexcept { return settled_; }
@@ -63,16 +59,16 @@ class RefereeCore final : public Endpoint {
         return settled_payments_;
     }
     [[nodiscard]] double user_paid() const noexcept { return user_paid_; }
-    // Bids the referee ended up learning (empty unless a dispute forced
-    // disclosure) — lets tests assert referee passivity in honest runs.
-    [[nodiscard]] const std::map<std::string, double>& learned_bids() const noexcept {
+    // Bids the referee ended up learning, by ProcId (empty unless a dispute
+    // forced disclosure) — lets tests assert referee passivity in honest runs.
+    [[nodiscard]] const std::vector<double>& learned_bids() const noexcept {
         return verified_bids_;
     }
-    // Churn rulings (empty/zero outside churn mode).
-    [[nodiscard]] const std::set<std::string>& churn_excluded() const noexcept {
-        return churn_excluded_;
+    // Churn rulings (none outside churn mode).
+    [[nodiscard]] bool churn_excluded(ProcId processor) const noexcept {
+        return churn_bid_tally_.excluded(processor);
     }
-    [[nodiscard]] const std::string& churn_dead() const noexcept { return churn_dead_; }
+    [[nodiscard]] std::optional<ProcId> churn_dead() const noexcept { return churn_dead_; }
     [[nodiscard]] std::size_t churn_realloc_blocks() const noexcept {
         return churn_realloc_blocks_;
     }
@@ -100,12 +96,14 @@ class RefereeCore final : public Endpoint {
     void apply_churn_bid(ProcId from, const wire::SignedMessageView& envelope, bool verified);
     void apply_payment(ProcId from, const wire::SignedMessageView& envelope, bool verified);
     [[nodiscard]] bool churn_bid_set_possibly_complete() const;
-    [[nodiscard]] bool payment_quorum_possible() const;
+
+    // A set of processors: one flag per ProcId.
+    using ProcSet = std::vector<bool>;
 
     // Validates collected bid vectors: flags entries with bad signatures
     // (offense iv) and double-signed bids; fills verified_bids_ on success.
-    // Returns deviants found (empty = clean).
-    std::set<std::string> validate_bid_vectors();
+    // Returns deviants found (none = clean).
+    ProcSet validate_bid_vectors();
     void adjudicate_alloc_complaint();
     void evaluate_payments();
     void recompute_and_settle();
@@ -113,8 +111,10 @@ class RefereeCore final : public Endpoint {
 
     // Levies F on each deviant, distributes per the phase's rule, and (for
     // pre-payment phases) terminates the protocol.
-    void issue_verdict(const std::set<std::string>& deviants, const std::string& reason,
-                       bool terminate);
+    void issue_verdict(const ProcSet& deviants, const std::string& reason, bool terminate);
+    // Submitters whose payment vector contradicts itself or differs from
+    // `expected` (offense iii).
+    [[nodiscard]] ProcSet wrong_payment_vectors(const std::vector<double>& expected) const;
 
     // Observability: dispute lifecycle + adjudicated-accusation counters on
     // the run's metrics registry (obs::MetricsRegistry).
@@ -124,8 +124,13 @@ class RefereeCore final : public Endpoint {
     // Pays α_i w̃_i (= φ_i) to the commenced non-deviants, splits the
     // remaining pool, once every commenced meter has stopped.
     void finalize_termination_payouts();
+    // Splits what is left of the fine pool evenly over the non-deviants.
+    void split_pool(const std::vector<ProcId>& honest, double pool);
 
     [[nodiscard]] std::vector<double> execution_values() const;
+    // Opens the payments phase with the φ vector (every finished meter, id
+    // order); returns the broadcast payload.
+    util::Bytes broadcast_meters();
 
     // --- churn machinery (DESIGN.md "Churn model"; only when the run's
     // --- churn plan is non-empty) --------------------------------------------
@@ -139,8 +144,7 @@ class RefereeCore final : public Endpoint {
     void check_processing();  // processing_grace watchdog -> unstarted assignees
     // Redistributes the dead processor's undone blocks over the survivors
     // via the NCP-NFE closed form; broadcasts kRealloc. One per run.
-    void do_reallocate(const std::string& dead, std::size_t exec_blocks,
-                       std::size_t blocks_done);
+    void do_reallocate(ProcId dead, std::size_t exec_blocks, std::size_t blocks_done);
     // Meter broadcast gate: waits for every expected execution AND for all
     // pending crash adjudications before publishing the φ vector.
     void maybe_finish_meters();
@@ -148,8 +152,8 @@ class RefereeCore final : public Endpoint {
     // Unrecoverable churn (dead LO, < 2 active bidders): stop the round with
     // no fines and no payouts — death is not an offense.
     void churn_terminate(const std::string& reason);
-    [[nodiscard]] std::size_t churn_active_count() const noexcept {
-        return ctx_.processor_count() - churn_excluded_.size();
+    [[nodiscard]] std::size_t payment_quorum() const noexcept {
+        return ctx_.churn_enabled() ? churn_bid_tally_.active() : ctx_.processor_count();
     }
 
     RunContext& ctx_;
@@ -158,14 +162,15 @@ class RefereeCore final : public Endpoint {
     VerifyQueue pending_churn_bids_;
     VerifyQueue pending_payments_;
     // Per-ProcId intake counts beside the queues (recorded or still queued),
-    // so the completion and quorum tests are O(1).
+    // so the completion and quorum tests are O(1). The churn tally also
+    // holds the bid-deadline exclusions.
     SenderTally churn_bid_tally_;
     SenderTally payment_tally_;
 
     bool verdict_issued_ = false;
-    std::map<std::string, double> fines_;
-    std::map<std::string, double> rewards_;
-    std::map<std::string, double> compensations_;
+    std::vector<std::optional<double>> fines_;
+    std::vector<double> rewards_;
+    std::vector<double> compensations_;
 
     DisputeStage stage_ = DisputeStage::kNone;
     const char* open_dispute_kind_ = nullptr;  // non-null while a dispute is open
@@ -173,28 +178,34 @@ class RefereeCore final : public Endpoint {
     // counter, closed on resolution); invalid while no dispute is open.
     obs::SpanContext dispute_span_;
     std::optional<AllocComplaintBody> open_complaint_;
-    std::map<std::string, BidVectorBody> bid_vector_responses_;
-    std::set<std::string> bid_vector_expected_;
-    std::map<std::string, double> verified_bids_;
+    ProcId complainant_ = 0;  // sender of open_complaint_
+    std::vector<std::optional<BidVectorBody>> bid_vector_responses_;
+    ProcSet bid_vector_expected_;
+    std::size_t bid_vectors_missing_ = 0;  // expected, not yet responded
+    std::vector<double> verified_bids_;
 
-    // payment phase
+    // payment phase: per submitter, its first signed payload (later ones are
+    // only compared with it) and the values of its latest submission.
+    struct PaymentSubmission {
+        util::Bytes first_payload;
+        bool contradictory = false;
+        std::vector<double> values;
+    };
     bool meters_broadcast_ = false;
-    std::map<std::string, std::vector<util::Bytes>> payment_payloads_;
-    std::map<std::string, std::vector<double>> payment_values_;
+    std::vector<std::optional<PaymentSubmission>> payments_;
     bool payment_evaluation_scheduled_ = false;
     bool settled_ = false;
     std::vector<double> settled_payments_;
     double user_paid_ = 0.0;
 
     // Churn state (untouched outside churn mode).
-    std::map<std::string, double> churn_bids_;      // first valid bid per sender
-    std::set<std::string> churn_excluded_;          // missing at the bid deadline
+    std::vector<double> churn_bids_;                // first valid bid per sender
     std::vector<std::size_t> churn_counts_;         // prescribed blocks, full size
     bool churn_bids_complete_ = false;
     bool churn_watchdog_scheduled_ = false;
     std::size_t pending_adjudications_ = 0;
     bool realloc_done_ = false;
-    std::string churn_dead_;
+    std::optional<ProcId> churn_dead_;
     std::uint64_t churn_dead_final_ = 0;
     std::size_t churn_realloc_blocks_ = 0;
     util::Bytes churn_meter_payload_;               // stored for retransmission
@@ -202,10 +213,11 @@ class RefereeCore final : public Endpoint {
 
     // Terminating-verdict payout state.
     struct PendingTermination {
-        std::set<std::string> deviants;
+        std::vector<ProcId> honest;     // the non-deviants, id order
         double pool = 0.0;
-        std::vector<std::string> commenced;  // non-deviants owed φ_i
-        std::set<std::string> awaiting;      // commenced meters still running
+        std::vector<ProcId> commenced;  // non-deviants owed φ_i
+        ProcSet awaiting;               // commenced meters still running
+        std::size_t awaiting_count = 0;
     };
     std::optional<PendingTermination> pending_termination_;
 };

@@ -67,53 +67,49 @@ ProtocolOutcome run_protocol(const ProtocolConfig& config, const RunObserver& ob
     outcome.control_messages = transport_stats.control_messages;
     outcome.control_bytes = transport_stats.control_bytes;
     outcome.bytes_by_phase = transport_stats.bytes_by_phase;
-    outcome.churn_excluded.assign(referee.churn_excluded().begin(),
-                                  referee.churn_excluded().end());
-    outcome.churn_dead = referee.churn_dead();
+    for (const ProcId id : context.name_order()) {
+        if (referee.churn_excluded(id)) {
+            outcome.churn_excluded.push_back(context.processor_names()[id]);
+        }
+    }
+    const std::optional<ProcId> churn_dead = referee.churn_dead();
+    if (churn_dead) outcome.churn_dead = context.processor_names()[*churn_dead];
     outcome.churn_realloc_blocks = referee.churn_realloc_blocks();
 
     const auto& settled = referee.settled_payments();
-    for (std::size_t i = 0; i < context.processor_count(); ++i) {
-        const auto& name = context.processor_names()[i];
+    for (ProcId i = 0; i < context.processor_count(); ++i) {
         const NodeCore& node = *nodes[i];
+        const bool is_lo = i == context.load_origin_id();
         ProcessorOutcome p;
-        p.name = name;
+        p.name = context.processor_names()[i];
         p.true_w = cfg.true_w[i];
         p.bid = node.bid_value();
-        p.exec_rate = context.clamp_rate(name, node.exec_rate());
+        p.exec_rate = context.clamp_rate(i, node.exec_rate());
         p.blocks_assigned = node.blocks_assigned();
-        p.blocks_received =
-            (name == context.load_origin()) ? node.blocks_assigned() : node.blocks_received();
+        p.blocks_received = is_lo ? node.blocks_assigned() : node.blocks_received();
         p.blocks_extra = node.blocks_extra();
         // A crashed bidder never hears the kExclude broadcast, so its own
         // flag can stay false; the referee's ruling is authoritative.
-        p.excluded = node.excluded_self() || referee.churn_excluded().contains(name);
+        p.excluded = node.excluded_self() || referee.churn_excluded(i);
         if (!node.allocation().empty()) p.alpha = node.allocation()[i];
-        p.commenced_work = context.meters().started(name);
-        if (context.meters().finished(name)) p.phi = context.meters().elapsed(name);
+        p.commenced_work = context.meters().started(i);
+        if (context.meters().finished(i)) p.phi = context.meters().elapsed(i);
 
         if (referee.settled() && i < settled.size()) p.payment = settled[i];
-        if (auto it = referee.fines().find(name); it != referee.fines().end()) {
-            p.fines = it->second;
+        if (const auto& fine = referee.fines()[i]) {
+            p.fines = *fine;
             p.fined = true;
         }
-        if (auto it = referee.rewards().find(name); it != referee.rewards().end()) {
-            p.rewards = it->second;
-        }
-        if (auto it = referee.compensations().find(name);
-            it != referee.compensations().end()) {
-            p.rewards += it->second;  // termination compensation is income too
-        }
+        // Termination compensation is income too.
+        p.rewards = referee.rewards()[i] + referee.compensations()[i];
         // Actual cost: the fraction of the unit load this node really ran,
         // at its realized rate (only if it ran).
         if (p.commenced_work) {
             // Reallocation extras are real executed work too; a crashed
             // processor's cost reflects only its meter-proved fraction.
-            std::size_t executed =
-                (name == context.load_origin()) ? node.blocks_assigned()
-                                                : node.blocks_received();
+            std::size_t executed = is_lo ? node.blocks_assigned() : node.blocks_received();
             executed += node.blocks_extra();
-            if (name == referee.churn_dead()) {
+            if (churn_dead == i) {
                 executed = referee.churn_realloc_blocks() <= executed
                                ? executed - referee.churn_realloc_blocks()
                                : 0;

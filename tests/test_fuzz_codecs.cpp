@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -475,38 +477,43 @@ TEST(FuzzCodecs, ChurnPlanSpecRoundTripsAndSurvivesGarbage) {
 
 TEST(FuzzCodecs, PartialMeterSettlementNeverCrashes) {
     // Mid-run churn hands the settlement partial information: meters missing
-    // for dead processors, counts missing for excluded ones, arbitrary
-    // subsets thereof. The canonical settlement must stay total: full-size
-    // vector, zeros for the excluded, no throw for any subset combination.
+    // for dead processors, realized counts anywhere from zero to the whole
+    // load, arbitrary exclusion subsets. The canonical settlement must stay
+    // total: full-size vector, zeros for the excluded, no throw for any
+    // subset combination. Excluded entries hold NaN and an absurd count,
+    // which must never reach a payment.
     util::Xoshiro256 rng{888};
-    const std::vector<std::string> names = {"P1", "P2", "P3", "P4"};
+    constexpr std::size_t kProcessors = 4;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     for (int trial = 0; trial < 2000; ++trial) {
         protocol::ChurnSettlementInputs inputs;
         inputs.kind = trial % 2 == 0 ? dlt::NetworkKind::kNcpFE
                                      : dlt::NetworkKind::kNcpNFE;
         inputs.z = rng.uniform(0.05, 0.5);
         inputs.block_count = 120;
-        inputs.names = names;
-        for (const auto& name : names) {
-            if (rng.uniform() < 0.25) inputs.excluded.insert(name);
-        }
-        for (const auto& name : names) {
-            if (inputs.excluded.contains(name)) continue;
-            if (rng.uniform() < 0.9) inputs.bids[name] = rng.uniform(0.5, 3.0);
-            if (rng.uniform() < 0.8) {
-                inputs.final_counts[name] =
-                    static_cast<std::size_t>(rng.uniform_int(0, 120));
+        for (std::size_t i = 0; i < kProcessors; ++i) {
+            const bool excluded = rng.uniform() < 0.25;
+            inputs.excluded.push_back(excluded);
+            inputs.bids.push_back(excluded ? nan : rng.uniform(0.5, 3.0));
+            inputs.final_counts.push_back(
+                excluded ? std::numeric_limits<std::size_t>::max()
+                         : static_cast<std::size_t>(rng.uniform_int(0, 120)));
+            if (excluded) {
+                inputs.phis.emplace_back(nan);
+            } else if (rng.uniform() < 0.7) {
+                inputs.phis.emplace_back(rng.uniform(0.0, 2.0));
+            } else {
+                inputs.phis.emplace_back();
             }
-            if (rng.uniform() < 0.7) inputs.phis[name] = rng.uniform(0.0, 2.0);
         }
         mech::DlsBlCache mechanisms;
         const auto payments = protocol::churn_settlement_payments(inputs, mechanisms);
-        ASSERT_EQ(payments.size(), names.size());
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (inputs.excluded.contains(names[i])) {
-                EXPECT_EQ(payments[i], 0.0) << names[i];
+        ASSERT_EQ(payments.size(), kProcessors);
+        for (std::size_t i = 0; i < kProcessors; ++i) {
+            if (inputs.excluded[i]) {
+                EXPECT_EQ(payments[i], 0.0) << i;
             }
-            EXPECT_TRUE(std::isfinite(payments[i])) << names[i];
+            EXPECT_TRUE(std::isfinite(payments[i])) << i;
         }
     }
 }
