@@ -6,14 +6,15 @@
 // transfers, and a "protocol" track for phase changes.
 //
 //   * compute and load-transfer intervals become complete ("X") events —
-//     their boundaries are taken from sim::gantt_from_trace, so the visual
+//     their boundaries are taken from sim::bars_from_trace, so the visual
 //     timeline matches the ASCII Gantt charts exactly;
-//   * message sends, verdicts and notes become instant ("i") events;
+//   * messages, verdicts and churn marks become instant ("i") events,
+//     their detail rendered by sim::TraceRecorder::detail();
 //   * phase changes become global instants on the protocol track.
 //
 // Timestamps are the simulated times scaled to microseconds (the trace
-// viewer's native unit). Output is a pure function of the trace, so
-// identical-seed runs export byte-identical files.
+// viewer's native unit), under one process named "dlsbl". Output is a pure
+// function of the trace, so identical-seed runs export byte-identical files.
 #pragma once
 
 #include <string>
@@ -22,17 +23,9 @@
 
 namespace dlsbl::obs {
 
-struct CatapultOptions {
-    // Simulated seconds -> trace-viewer microseconds.
-    double time_scale = 1e6;
-    std::string process_name = "dlsbl";
-};
-
-std::string catapult_from_trace(const sim::TraceRecorder& trace,
-                                const CatapultOptions& options = {});
+std::string catapult_from_trace(const sim::TraceRecorder& trace);
 
 // Writes catapult_from_trace() to `path`; false if the file can't be opened.
-bool write_catapult_file(const std::string& path, const sim::TraceRecorder& trace,
-                         const CatapultOptions& options = {});
+bool write_catapult_file(const std::string& path, const sim::TraceRecorder& trace);
 
 }  // namespace dlsbl::obs

@@ -17,8 +17,8 @@
 //     reaches JSONL sinks, so `--jsonl-out` + `--log-level debug` captures
 //     the full span graph;
 //   * an optional SpanSink — the transport plugs in its own mirror (the sim
-//     driver forwards into a sim::TraceRecorder via obs::TraceSpanSink),
-//     which reaches the Chrome-trace exporter.
+//     driver records into its sim::TraceRecorder), which reaches the
+//     Chrome-trace exporter.
 //
 // Span ids are allocated even when the Debug gate is closed, so turning
 // logging on or off never changes the ids (and therefore never changes any

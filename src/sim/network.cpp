@@ -40,6 +40,7 @@ void Network::attach(Process& process) {
     }
     name_order_.insert(at, static_cast<ProcessIndex>(processes_.size()));
     processes_.push_back(&process);
+    trace_names_.push_back(trace_.intern(process.name()));
 }
 
 ProcessIndex Network::resolve(const std::string& name, const char* what) const {
@@ -58,26 +59,21 @@ void Network::start() {
 }
 
 void Network::deliver(const Envelope& envelope, bool redelivery) {
-    const std::string& to = processes_[envelope.to]->name();
     if (interceptor_) {
         const DeliveryRuling ruling = interceptor_(envelope, simulator_.now(), redelivery);
-        if (ruling.action == DeliveryAction::kDrop) {
-            trace_.record(simulator_.now(), TraceKind::kChurn, to, ruling.note,
-                          envelope.span_id);
-            return;
-        }
-        if (ruling.action == DeliveryAction::kDelay) {
-            trace_.record(simulator_.now(), TraceKind::kChurn, to, ruling.note,
-                          envelope.span_id);
-            simulator_.schedule_after(ruling.delay,
-                                      [this, e = envelope] { deliver(e, true); });
+        if (ruling.action != DeliveryAction::kDeliver) {
+            trace_.record(simulator_.now(), TraceKind::kChurn, name_of(envelope.to),
+                          ruling.note, envelope.span_id);
+            if (ruling.action == DeliveryAction::kDelay) {
+                simulator_.schedule_after(ruling.delay,
+                                          [this, e = envelope] { deliver(e, true); });
+            }
             return;
         }
     }
-    trace_.record(simulator_.now(), TraceKind::kMessageDelivered, to,
-                  "from=" + processes_[envelope.from]->name() +
-                      " type=" + std::to_string(envelope.type),
-                  envelope.span_id);
+    trace_.record_traffic(simulator_.now(), TraceKind::kMessageDelivered,
+                          trace_names_[envelope.to], trace_names_[envelope.from], 0.0,
+                          envelope.type, envelope.span_id);
     processes_[envelope.to]->on_message(envelope);
 }
 
@@ -86,10 +82,8 @@ void Network::send(const std::string& from, const std::string& to, std::uint32_t
     const ProcessIndex recipient = resolve(to, "unknown recipient: ");
     const ProcessIndex sender = resolve(from, "unknown sender: ");
     metrics_.count_control(payload.size());
-    trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
-                  "to=" + to + " type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(payload.size()),
-                  span_id);
+    trace_.record_traffic(simulator_.now(), TraceKind::kMessageSent, trace_names_[sender],
+                          trace_names_[recipient], payload.size(), type, span_id);
     const double deliver_at = control_delivery_time(payload.size());
     Envelope envelope{sender, recipient, type, util::share(std::move(payload)),
                       simulator_.now(), span_id};
@@ -100,10 +94,8 @@ void Network::broadcast(const std::string& from, std::uint32_t type, util::Bytes
                         std::uint64_t span_id) {
     const ProcessIndex sender = resolve(from, "unknown sender: ");
     metrics_.count_control(payload.size());
-    trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
-                  "to=* type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(payload.size()),
-                  span_id);
+    trace_.record_traffic(simulator_.now(), TraceKind::kMessageSent, trace_names_[sender],
+                          kEveryone, payload.size(), type, span_id);
     // Atomic broadcast: one bus transmission, one kernel event, and one
     // payload buffer for every recipient.
     const double deliver_at = control_delivery_time(payload.size());
@@ -128,15 +120,14 @@ void Network::transfer_load(const std::string& from, const std::string& to, doub
     const double end = start + units * z_;
     bus_busy_until_ = end;
     metrics_.count_load_transfer(units);
-    trace_.record(start, TraceKind::kLoadTransferStart, from,
-                  "to=" + to + " units=" + std::to_string(units), span_id);
+    trace_.record_traffic(start, TraceKind::kLoadTransferStart, trace_names_[sender],
+                          trace_names_[recipient], units, type, span_id);
     Envelope envelope{sender, recipient, type, util::share(std::move(payload)),
                       simulator_.now(), span_id};
     simulator_.schedule_at(end, [this, units, e = std::move(envelope)] {
-        trace_.record(simulator_.now(), TraceKind::kLoadTransferEnd,
-                      processes_[e.from]->name(),
-                      "to=" + processes_[e.to]->name() + " units=" + std::to_string(units),
-                      e.span_id);
+        trace_.record_traffic(simulator_.now(), TraceKind::kLoadTransferEnd,
+                              trace_names_[e.from], trace_names_[e.to], units, e.type,
+                              e.span_id);
         deliver(e);
     });
 }

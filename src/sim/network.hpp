@@ -151,6 +151,7 @@ class Network {
     double bus_busy_until_ = 0.0;
     std::vector<Process*> processes_;       // by ProcessIndex
     std::vector<ProcessIndex> name_order_;  // indices sorted by name
+    std::vector<NameId> trace_names_;       // by ProcessIndex
     NetworkMetrics metrics_;
     TraceRecorder trace_;
     DeliveryInterceptor interceptor_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <stdexcept>
 
 namespace dlsbl::sim {
 
@@ -15,7 +17,6 @@ const char* to_string(TraceKind kind) noexcept {
         case TraceKind::kComputeEnd: return "compute-end";
         case TraceKind::kPhaseChange: return "phase";
         case TraceKind::kVerdict: return "verdict";
-        case TraceKind::kNote: return "note";
         case TraceKind::kSpanBegin: return "span-begin";
         case TraceKind::kSpanEnd: return "span-end";
         case TraceKind::kChurn: return "churn";
@@ -23,65 +24,88 @@ const char* to_string(TraceKind kind) noexcept {
     return "?";
 }
 
-void TraceRecorder::record(double time, TraceKind kind, std::string actor,
-                           std::string detail, std::uint64_t span_id,
+NameId TraceRecorder::intern(std::string_view text) {
+    const auto at = std::lower_bound(
+        by_text_.begin(), by_text_.end(), text,
+        [this](NameId id, std::string_view key) { return texts_[id] < key; });
+    if (at != by_text_.end() && texts_[*at] == text) return *at;
+    const auto id = static_cast<NameId>(texts_.size());
+    texts_.emplace_back(text);
+    by_text_.insert(at, id);
+    return id;
+}
+
+void TraceRecorder::record(double time, TraceKind kind, std::string_view actor,
+                           std::string_view note, std::uint64_t span_id,
                            std::uint64_t parent_id) {
-    events_.push_back(TraceEvent{time, kind, std::move(actor), std::move(detail),
-                                 span_id, parent_id});
+    if (kind <= TraceKind::kLoadTransferEnd) {
+        throw std::logic_error("TraceRecorder: messages and transfers are typed records");
+    }
+    events_.push_back({.time = time, .span_id = span_id, .parent_id = parent_id,
+                       .actor = intern(actor), .note = intern(note), .kind = kind});
 }
 
 std::vector<TraceEvent> TraceRecorder::filter(TraceKind kind) const {
     std::vector<TraceEvent> out;
+    std::copy_if(events_.begin(), events_.end(), std::back_inserter(out),
+                 [kind](const TraceEvent& event) { return event.kind == kind; });
+    return out;
+}
+
+std::string TraceRecorder::detail(const TraceEvent& event) const {
+    switch (event.kind) {
+        case TraceKind::kMessageSent:
+            return "to=" + text(event.peer) + " type=" + std::to_string(event.wire_type) +
+                   " bytes=" + std::to_string(static_cast<std::uint64_t>(event.amount));
+        case TraceKind::kMessageDelivered:
+            return "from=" + text(event.peer) + " type=" + std::to_string(event.wire_type);
+        case TraceKind::kLoadTransferStart:
+        case TraceKind::kLoadTransferEnd:
+            return "to=" + text(event.peer) + " units=" + std::to_string(event.amount);
+        default:
+            return text(event.note);
+    }
+}
+
+std::string TraceRecorder::render() const {
+    std::string out;
+    char buf[64];
     for (const auto& event : events_) {
-        if (event.kind == kind) out.push_back(event);
+        std::snprintf(buf, sizeof(buf), "%12.6f  %-14s ", event.time, to_string(event.kind));
+        out += buf + text(event.actor) + "  " + detail(event) + '\n';
     }
     return out;
 }
 
-std::vector<TraceEvent> TraceRecorder::filter_actor(const std::string& actor) const {
-    std::vector<TraceEvent> out;
-    for (const auto& event : events_) {
-        if (event.actor == actor) out.push_back(event);
-    }
-    return out;
-}
-
-std::vector<util::GanttBar> gantt_from_trace(const TraceRecorder& trace) {
-    std::vector<util::GanttBar> bars;
-    // Load transfers: match start/end FIFO (the bus is one-port, so
-    // transfers never interleave).
-    std::vector<const TraceEvent*> open_transfers;
-    std::vector<std::pair<std::string, double>> open_computes;  // actor -> start
-    // Horizon for unmatched starts (truncated/terminated runs record a
-    // start whose end never fired): the latest time anywhere in the trace.
-    // Note trace times are not monotone — transfer starts are stamped with
-    // their (future) bus-grant time — so scan rather than take back().
+std::vector<TraceBar> bars_from_trace(const TraceRecorder& trace) {
+    std::vector<TraceBar> bars;
+    std::vector<double> open_transfers;
+    std::vector<TraceBar> open_computes;
+    // Horizon for unmatched starts: trace times are not monotone (a transfer
+    // start is stamped with its future bus-grant time), so scan, not back().
     double horizon = 0.0;
     for (const auto& event : trace.events()) horizon = std::max(horizon, event.time);
     for (const auto& event : trace.events()) {
         switch (event.kind) {
             case TraceKind::kLoadTransferStart:
-                open_transfers.push_back(&event);
+                open_transfers.push_back(event.time);
                 break;
-            case TraceKind::kLoadTransferEnd: {
+            case TraceKind::kLoadTransferEnd:
                 if (!open_transfers.empty()) {
-                    bars.push_back(util::GanttBar{"BUS", open_transfers.front()->time,
-                                                  event.time, '-'});
+                    bars.push_back({kBusLane, open_transfers.front(), event.time});
                     open_transfers.erase(open_transfers.begin());
                 }
                 break;
-            }
             case TraceKind::kComputeStart:
-                open_computes.emplace_back(event.actor, event.time);
+                open_computes.push_back({event.actor, event.time});
                 break;
             case TraceKind::kComputeEnd: {
-                for (auto it = open_computes.begin(); it != open_computes.end(); ++it) {
-                    if (it->first == event.actor) {
-                        bars.push_back(
-                            util::GanttBar{event.actor, it->second, event.time, '#'});
-                        open_computes.erase(it);
-                        break;
-                    }
+                const auto open = std::find_if(
+                    open_computes.begin(), open_computes.end(),
+                    [&event](const TraceBar& bar) { return bar.lane == event.actor; });
+                if (open != open_computes.end()) {
+                    bars.push_back({event.actor, open->start, event.time});
+                    open_computes.erase(open);
                 }
                 break;
             }
@@ -89,28 +113,23 @@ std::vector<util::GanttBar> gantt_from_trace(const TraceRecorder& trace) {
                 break;
         }
     }
-    // Tolerate truncated traces: an activity that started but never ended
-    // is drawn up to the trace horizon instead of being dropped.
-    for (const TraceEvent* start : open_transfers) {
-        bars.push_back(
-            util::GanttBar{"BUS", start->time, std::max(start->time, horizon), '-'});
+    for (const double start : open_transfers) {
+        bars.push_back({kBusLane, start, std::max(start, horizon)});
     }
-    for (const auto& [actor, start] : open_computes) {
-        bars.push_back(util::GanttBar{actor, start, std::max(start, horizon), '#'});
+    for (const TraceBar& open : open_computes) {
+        bars.push_back({open.lane, open.start, std::max(open.start, horizon)});
     }
     return bars;
 }
 
-std::string TraceRecorder::render() const {
-    std::string out;
-    char buf[64];
-    for (const auto& event : events_) {
-        std::snprintf(buf, sizeof(buf), "%12.6f  %-14s ", event.time,
-                      to_string(event.kind));
-        out += buf;
-        out += event.actor + "  " + event.detail + "\n";
+std::vector<util::GanttBar> gantt_from_trace(const TraceRecorder& trace) {
+    std::vector<util::GanttBar> gantt;
+    for (const TraceBar& bar : bars_from_trace(trace)) {
+        const bool bus = bar.lane == kBusLane;
+        gantt.push_back(util::GanttBar{bus ? "BUS" : trace.text(bar.lane), bar.start,
+                                       bar.end, bus ? '-' : '#'});
     }
-    return out;
+    return gantt;
 }
 
 }  // namespace dlsbl::sim

@@ -131,7 +131,6 @@ TEST(TraceDeterminism, AdversarialDetailPayloadsStayValidJson) {
         EXPECT_EQ(doc->find("detail")->string, payload);
 
         sim::TraceRecorder trace;
-        trace.record(0.0, sim::TraceKind::kNote, "P1", payload);
         trace.record(0.5, sim::TraceKind::kVerdict, "referee", payload);
         const auto exported = obs::json_parse(obs::catapult_from_trace(trace));
         ASSERT_TRUE(exported.has_value()) << obs::json_escape(payload);

@@ -73,8 +73,10 @@ TEST(Bandwidth, NegativeRateRejected) {
 
 TEST(TraceGantt, RebuildsTransfersAndCompute) {
     TraceRecorder trace;
-    trace.record(0.0, TraceKind::kLoadTransferStart, "P1", "to=P2");
-    trace.record(0.5, TraceKind::kLoadTransferEnd, "P1", "to=P2");
+    const NameId p1 = trace.intern("P1");
+    const NameId p2 = trace.intern("P2");
+    trace.record_traffic(0.0, TraceKind::kLoadTransferStart, p1, p2, 1.0, 0, 0);
+    trace.record_traffic(0.5, TraceKind::kLoadTransferEnd, p1, p2, 1.0, 0, 0);
     trace.record(0.5, TraceKind::kComputeStart, "P2", "");
     trace.record(1.5, TraceKind::kComputeEnd, "P2", "");
     const auto bars = gantt_from_trace(trace);
@@ -91,7 +93,8 @@ TEST(TraceGantt, RebuildsTransfersAndCompute) {
 TEST(TraceGantt, UnmatchedEventsIgnored) {
     TraceRecorder trace;
     trace.record(0.0, TraceKind::kComputeEnd, "P1", "");  // end without start
-    trace.record(1.0, TraceKind::kLoadTransferEnd, "P1", "");
+    trace.record_traffic(1.0, TraceKind::kLoadTransferEnd, trace.intern("P1"),
+                         trace.intern("P2"), 1.0, 0, 0);
     EXPECT_TRUE(gantt_from_trace(trace).empty());
 }
 
@@ -129,6 +132,45 @@ TEST(TraceGantt, ProtocolRunProducesRenderableTimeline) {
     const std::string figure = util::render_gantt(bars, {});
     EXPECT_NE(figure.find("BUS"), std::string::npos);
     EXPECT_NE(figure.find("P1"), std::string::npos);
+}
+
+// A run records Theta(m^2) deliveries but only O(m) distinct strings: per
+// processor its name, its compute note ("blocks=... rate=...") and its
+// "ship:P<k>" span name, plus a fixed set of phase, span and endpoint names
+// (about 20 at m = 64). A record that interned per-message text would pass
+// 3m + 32 many times over.
+TEST(TraceRecorder, StringTableStaysLinearInProcessors) {
+    constexpr std::size_t m = 64;
+    protocol::ProtocolConfig config;
+    config.kind = dlt::NetworkKind::kNcpFE;
+    config.z = 0.002;
+    for (std::size_t i = 0; i < m; ++i) config.true_w.push_back(1.0 + 0.01 * i);
+    config.block_count = 4 * m;
+    config.signature_algorithm = crypto::SignatureAlgorithm::kFast;
+
+    std::size_t texts = 0, delivered = 0;
+    const auto outcome =
+        protocol::run_protocol(config, [&](const protocol::RunInternals& internals) {
+            texts = internals.trace().text_count();
+            delivered = internals.trace().filter(TraceKind::kMessageDelivered).size();
+        });
+    EXPECT_FALSE(outcome.terminated_early);
+    EXPECT_GE(delivered, m * (m - 1));
+    EXPECT_GT(texts, m);  // every processor's name is in it
+    EXPECT_LT(texts, 3 * m + 32);
+}
+
+// Messages and transfers have one record path, the typed one.
+TEST(TraceRecorder, FreeTextRecordRejectsTypedKinds) {
+    TraceRecorder trace;
+    for (const TraceKind kind : {TraceKind::kMessageSent, TraceKind::kMessageDelivered,
+                                 TraceKind::kLoadTransferStart, TraceKind::kLoadTransferEnd}) {
+        EXPECT_THROW(trace.record(0.0, kind, "P1", "to=P2"), std::logic_error);
+    }
+    EXPECT_TRUE(trace.events().empty());
+    trace.record(0.0, TraceKind::kVerdict, "referee", "fine P2");
+    EXPECT_EQ(trace.detail(trace.events().at(0)), "fine P2");
+    EXPECT_EQ(trace.intern("referee"), trace.events()[0].actor);  // stored once
 }
 
 TEST(Bandwidth, ProtocolHonestRunStillSettlesWithCharges) {
