@@ -1,6 +1,7 @@
 #include "protocol/churn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,25 +28,36 @@ void ChurnPlan::validate() const {
                                         name + "'");
         }
     };
+    // NaN fails no ordered comparison and an infinite time never fires, so
+    // every value must be finite before its range is checked.
+    auto finite = [](std::initializer_list<double> values) {
+        return std::all_of(values.begin(), values.end(),
+                           [](double value) { return std::isfinite(value); });
+    };
     for (const auto& event : events) {
         check_name(event.processor);
-        if (event.time < 0.0) throw std::invalid_argument("churn plan: negative time");
+        if (!finite({event.time}) || event.time < 0.0) {
+            throw std::invalid_argument("churn plan: negative or non-finite time");
+        }
     }
     for (const auto& loss : losses) {
         check_name(loss.processor);
-        if (loss.begin < 0.0 || loss.end < loss.begin) {
+        if (!finite({loss.begin, loss.end}) || loss.begin < 0.0 || loss.end < loss.begin) {
             throw std::invalid_argument("churn plan: bad loss window");
         }
     }
     for (const auto& delay : delays) {
         check_name(delay.processor);
-        if (delay.begin < 0.0 || delay.end < delay.begin || delay.delay < 0.0) {
+        if (!finite({delay.begin, delay.end, delay.delay}) || delay.begin < 0.0 ||
+            delay.end < delay.begin || delay.delay < 0.0) {
             throw std::invalid_argument("churn plan: bad delay window");
         }
     }
-    if (policy.bid_timeout <= 0.0 || policy.detection_timeout < 0.0 ||
+    if (!finite({policy.bid_timeout, policy.detection_timeout, policy.processing_grace,
+                 policy.payment_timeout}) ||
+        policy.bid_timeout <= 0.0 || policy.detection_timeout < 0.0 ||
         policy.processing_grace <= 0.0 || policy.payment_timeout <= 0.0) {
-        throw std::invalid_argument("churn plan: non-positive policy deadline");
+        throw std::invalid_argument("churn plan: non-positive or non-finite policy deadline");
     }
 }
 

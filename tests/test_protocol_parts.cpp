@@ -295,6 +295,27 @@ TEST(ProcIds, ChurnPlanNamingAnUnknownProcessorIsRejectedByName) {
     EXPECT_NO_THROW(config.validate());
 }
 
+// NaN passes every `< 0` test and an infinite time never fires; either one
+// used to reach the simulator, which aborts on a non-finite event time.
+TEST(ChurnPlanSpec, NonFiniteAndNegativeValuesAreRejected) {
+    for (const char* spec :
+         {"crash:P1@nan", "crash:P1@inf", "restart:P1@-inf", "crash:P1@-0.5",
+          "loss:P1@nan-1", "loss:P1@0.1-inf", "loss:P1@0.5-0.1", "delay:P1@0-nan+0.1",
+          "delay:P1@0-1+inf", "delay:P1@0-1+-0.1", "policy:bid=inf", "policy:detect=nan",
+          "policy:grace=-inf", "policy:pay=0"}) {
+        EXPECT_FALSE(ChurnPlan::parse(spec).has_value()) << spec;
+    }
+    EXPECT_TRUE(ChurnPlan::parse("crash:P1@0.5;loss:P1@0-1;delay:P1@0-1+0.1;policy:bid=1")
+                    .has_value());
+
+    ChurnPlan plan;
+    plan.events = {{"P1", std::numeric_limits<double>::quiet_NaN(), ChurnEventKind::kCrash}};
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
+    plan.events.clear();
+    plan.policy.payment_timeout = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
 TEST(SenderTally, CountsEachSenderOnceThroughQueueRecordReplayAndExclude) {
     SenderTally tally(3);
     tally.queued(0);
