@@ -21,12 +21,18 @@
 //
 // Example:
 //   dlsbl_cli --kind nfe --z 0.3 --w 1.0,2.0,1.5 --strategy 1:payment_cheater
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include <fstream>
@@ -74,19 +80,29 @@ protocol::Strategy strategy_by_name(const std::string& name) {
     return it->second();
 }
 
-std::vector<double> parse_doubles(const std::string& csv) {
-    std::vector<double> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::string token =
-            csv.substr(start, comma == std::string::npos ? csv.size() - start
-                                                         : comma - start);
-        if (!token.empty()) out.push_back(std::strtod(token.c_str(), nullptr));
-        if (comma == std::string::npos) break;
+// Parses all of `text` as one number into `out`: no trailing characters, no
+// sign on an unsigned type, no value out of range, no NaN or infinity.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+    T value{};
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error != std::errc() || end != text.data() + text.size()) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value)) return false;
+    }
+    out = value;
+    return true;
+}
+
+// A comma-separated list of numbers; an empty or malformed entry fails.
+bool parse_doubles(std::string_view csv, std::vector<double>& out) {
+    out.clear();
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = std::min(csv.find(',', start), csv.size());
+        if (!parse_number(csv.substr(start, comma - start), out.emplace_back())) return false;
+        if (comma == csv.size()) return true;
         start = comma + 1;
     }
-    return out;
 }
 
 [[noreturn]] void usage() {
@@ -124,7 +140,7 @@ int main(int argc, char** argv) {
     bool show_trace = false;
     bool profile = false;
     bool metrics_port_set = false;
-    long metrics_port = 0;
+    unsigned long metrics_port = 0;
     std::size_t repeat = 1;
     std::size_t jobs = exec::RunExecutor::jobs_from_args(0, nullptr, 1);
     std::string jsonl_out, trace_out, metrics_out;
@@ -145,38 +161,34 @@ int main(int argc, char** argv) {
         }
         return true;
     });
-    spec.option("--z", [&](const std::string& value) {
-        config.z = std::strtod(value.c_str(), nullptr);
-        return true;
-    });
+    spec.option("--z", [&](const std::string& value) { return parse_number(value, config.z); });
     spec.option("--w", [&](const std::string& value) {
-        config.true_w = parse_doubles(value);
-        return !config.true_w.empty();
+        return parse_doubles(value, config.true_w);
     });
     spec.option("--strategy", [&](const std::string& value) {
         const std::size_t colon = value.find(':');
-        if (colon == std::string::npos) return false;
-        strategy_args.emplace_back(
-            static_cast<std::size_t>(std::strtoul(value.c_str(), nullptr, 10)),
-            value.substr(colon + 1));
+        std::size_t index = 0;
+        if (colon == std::string::npos ||
+            !parse_number(std::string_view(value).substr(0, colon), index)) {
+            return false;
+        }
+        strategy_args.emplace_back(index, value.substr(colon + 1));
         return true;
     });
     spec.option("--blocks", [&](const std::string& value) {
-        config.block_count =
-            static_cast<std::size_t>(std::strtoul(value.c_str(), nullptr, 10));
-        return true;
+        return parse_number(value, config.block_count);
     });
     spec.option("--latency", [&](const std::string& value) {
-        config.control_latency = std::strtod(value.c_str(), nullptr);
-        return true;
+        return parse_number(value, config.control_latency);
     });
     spec.option("--fine", [&](const std::string& value) {
-        config.fine_policy.fixed_fine = std::strtod(value.c_str(), nullptr);
+        double fine = 0.0;
+        if (!parse_number(value, fine)) return false;
+        config.fine_policy.fixed_fine = fine;
         return true;
     });
     spec.option("--seed", [&](const std::string& value) {
-        config.seed = std::strtoull(value.c_str(), nullptr, 10);
-        return true;
+        return parse_number(value, config.seed);
     });
     spec.option("--churn-plan", [&](const std::string& value) {
         const auto plan = protocol::ChurnPlan::parse(value);
@@ -186,14 +198,11 @@ int main(int argc, char** argv) {
     });
     spec.flag("--trace", [&] { show_trace = true; });
     spec.option("--repeat", [&](const std::string& value) {
-        repeat = static_cast<std::size_t>(std::strtoul(value.c_str(), nullptr, 10));
+        if (!parse_number(value, repeat)) return false;
         if (repeat == 0) repeat = 1;
         return true;
     });
-    spec.option("--jobs", [&](const std::string& value) {
-        jobs = static_cast<std::size_t>(std::strtoul(value.c_str(), nullptr, 10));
-        return true;
-    });
+    spec.option("--jobs", [&](const std::string& value) { return parse_number(value, jobs); });
     spec.alias("-j", "--jobs");
     spec.option("--log-level", [&](const std::string& value) {
         util::LogLevel level;
@@ -215,8 +224,7 @@ int main(int argc, char** argv) {
     });
     spec.option("--metrics-port", [&](const std::string& value) {
         metrics_port_set = true;
-        metrics_port = std::strtol(value.c_str(), nullptr, 10);
-        return metrics_port >= 0 && metrics_port <= 65535;
+        return parse_number(value, metrics_port) && metrics_port <= 65535;
     });
     spec.flag("--profile", [&] { profile = true; });
     spec.flag("--help", [] { usage(); });
@@ -233,6 +241,12 @@ int main(int argc, char** argv) {
             return 2;
         }
         config.strategies[index] = strategy_by_name(name);
+    }
+    try {
+        config.validate();
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
     }
 
     std::shared_ptr<obs::JsonlSink> jsonl_sink;
@@ -259,7 +273,7 @@ int main(int argc, char** argv) {
         exporter_options.port = static_cast<std::uint16_t>(metrics_port);
         exporter = std::make_unique<obs::MetricsExporter>(exporter_options);
         if (!exporter->start()) {
-            std::fprintf(stderr, "cannot bind metrics port %ld\n", metrics_port);
+            std::fprintf(stderr, "cannot bind metrics port %lu\n", metrics_port);
             return 2;
         }
         std::fprintf(stderr, "metrics: http://127.0.0.1:%u/metrics\n",
