@@ -1,5 +1,7 @@
 #include "obs/profiler.hpp"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 
 namespace dlsbl::obs {
@@ -109,10 +111,19 @@ void Profiler::report_node(std::string& out, std::size_t index, int depth) const
 std::string Profiler::report() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::string out;
-    if (nodes_[0].children.empty()) return "profiler: no scopes recorded\n";
-    out += "scope                                  inclusive       calls  of parent\n";
-    report_node(out, 0, 0);
-    return out;
+    if (nodes_[0].children.empty()) {
+        out += "profiler: no scopes recorded\n";
+    } else {
+        out += "scope                                  inclusive       calls  of parent\n";
+        report_node(out, 0, 0);
+    }
+    // The process's peak resident set so far (ru_maxrss is in KiB).
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    char line[64];
+    std::snprintf(line, sizeof(line), "peak_rss_mb %.1f\n",
+                  static_cast<double>(usage.ru_maxrss) / 1024.0);
+    return out + line;
 }
 
 }  // namespace dlsbl::obs

@@ -45,7 +45,8 @@ class Profiler {
     // Hierarchical text report: one line per scope-tree node with call
     // count, inclusive wall time and share of the parent's time. Children
     // are ordered by first entry, which is deterministic for a
-    // deterministic program even though the times are not.
+    // deterministic program even though the times are not. The last line is
+    // "peak_rss_mb <MB>", the process's peak resident set from getrusage.
     [[nodiscard]] std::string report() const;
 
     // Total inclusive nanoseconds recorded for `name` anywhere in the tree
