@@ -11,6 +11,7 @@
 #include <string>
 
 #include "agents/zoo.hpp"
+#include "dlt/finish_time.hpp"
 #include "support/run_capture.hpp"
 
 namespace dlsbl::protocol {
@@ -111,6 +112,13 @@ constexpr Golden kGolden[] = {
       "0c78069b9c821e260907004f7bcb435cec31ba2f2036294e3848e7849de9f50f",
       "f60e54254ba21fc8702846f6e3363eb20325e1a64edd65b3794293302d6c0bd5",
       "947b6cc9d0ebff60eb46fa794cdf32f87a2a2b53e423eee69ea7cda140f952be"}},
+    {"m=64 nfe-crash-mid-run",
+     {"d80178a1f4ce744163154d92398fd52ffa5a3f4efacdcbb54c19355db48cfaf8",
+      "873f0c1acc80fcef85d2b1914e45508781d7452135913f0228f8071fec7f189b",
+      "81c59c4614a04ab7f068fe2ae85f1f9339a7b737f41bdea4f6da80c8b8a0bfb8",
+      "a1a6f723f700660652fc87a1c5c8c53c30bddfb76cb3574d6e3da0c2c1f391d1",
+      "a618f39323d24003f5a13bff54b339612fcd933b403ea6a87d915c062dedfdd9",
+      "2423e4da140721b5c934860598519df22043d261b9d7e048f527e199b0c2e1a3"}},
 };
 // clang-format on
 
@@ -369,6 +377,39 @@ TEST(ChurnScenarios, CrashBeforeBidExcludesInNameOrderAtTwelveProcessors) {
     std::size_t assigned = 0;
     for (const auto& p : outcome.processors) assigned += p.blocks_assigned;
     EXPECT_EQ(assigned, config.block_count);
+}
+
+// ---- m = 64: the perfbench adversarial_zoo crash-mid-run shape --------------
+
+TEST(ChurnScenarios, NfeCrashMidRunReallocatesAtSixtyFourProcessors) {
+    auto config = base_config(dlt::NetworkKind::kNcpNFE);
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 64; ++i) {
+        config.true_w.push_back(1.0 + static_cast<double>((i * 37) % 64) / 64.0);
+    }
+    config.z = 0.005;
+    config.block_count = 2048;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    // Times in makespans, as perfbench scales them: the victim dies at 0.6 of
+    // the optimal makespan, mid-run, and its remaining blocks move.
+    const double t = dlt::optimal_makespan({config.kind, config.z, config.true_w});
+    auto& policy = config.churn_plan.policy;
+    policy.bid_timeout *= t / 0.5;
+    policy.detection_timeout *= t / 0.5;
+    policy.payment_timeout *= t / 0.5;
+    policy.processing_grace = 1.6 * t;
+    config.churn_plan.events = {{"P23", 0.6 * t, ChurnEventKind::kCrash}};
+    const auto run = expect_golden(config, "m=64 nfe-crash-mid-run");
+    const auto& outcome = run.result;
+
+    EXPECT_FALSE(outcome.terminated_early);
+    EXPECT_EQ(outcome.churn_dead, "P23");
+    EXPECT_TRUE(outcome.churn_excluded.empty());
+    EXPECT_GT(outcome.churn_realloc_blocks, 0u);
+    EXPECT_EQ(outcome.fined_count(), 0u);
+    std::size_t extras = 0;
+    for (const auto& p : outcome.processors) extras += p.blocks_extra;
+    EXPECT_EQ(extras, outcome.churn_realloc_blocks);
 }
 
 }  // namespace

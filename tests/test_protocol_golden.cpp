@@ -3,8 +3,9 @@
 // A fixed scenario zoo — honest NCP-FE and NCP-NFE runs, the
 // bandwidth-charged control plane, every worker deviant on both network
 // kinds, every load-origin deviant, three seeds, m = 40 runs whose bid
-// intake fills the verify queue, and m = 12 disputes where name order and id
-// order differ — is run once each, and
+// intake fills the verify queue, m = 12 disputes where name order and id
+// order differ, and an m = 64 fined worker the size of a perfbench
+// adversarial_zoo run — is run once each, and
 // the SHA-256 of each artifact (outcome, fines ledger, JSONL event log at
 // debug level, rendered trace, catapult export, per-run metrics) must equal
 // the digest pinned below. A deliberate behaviour change fails here with the
@@ -257,6 +258,13 @@ constexpr Golden kGolden[] = {
       "4f8b3e8cbc618ee467145a33fe3e423dd6d1ee3c27c7c71990d132f3b62c12bc",
       "96f980370dc7608d4698c968894531c3e03993f26e354d8aaccaf1c832d9372b",
       "baa9ed01b82559788c69fbf44de91207821d72728104b357ae471c6c285a4d26"}},
+    {"m=64 BUS-LINEAR-NCP-FE worker payment_cheater at P41",
+     {"aa85b2e5f523d5adaa6e6876ce91ba36478feb945224f6afa778682f0ccc50dc",
+      "6ef409cc7183a72efae80d28fad78371df6e455bf34368c8b2ad9d6685d3b178",
+      "de0c28f0e572737387232b50eb5d4b58a740c02fc90741bbccd37397a936a2f5",
+      "235c657bd8345764c9aa112197f824cd4cf4d499a8e783fe56548343b1388d9d",
+      "ba79b31af621ce8f332f6ce037ee0e768704e61e37a6965e07be819dbb1342c3",
+      "5bcb477237bb390856d855306918fe130dd094462a124191aa57c199a33e98c0"}},
 };
 // clang-format on
 
@@ -388,6 +396,22 @@ std::vector<Scenario> name_order_scenarios() {
             {"m=12 BUS-LINEAR-NCP-NFE worker false_short_claimer at P2", claimer}};
 }
 
+// m = 64 at z = 0.005 and 2048 blocks, the shape perfbench's adversarial_zoo
+// times with JSONL and catapult export on: a payment cheater is fined after
+// a bid-vector dispute, so span flows cross 64 tracks.
+std::vector<Scenario> sixty_four_scenarios() {
+    ProtocolConfig config = base_config(dlt::NetworkKind::kNcpFE);
+    config.true_w.clear();
+    for (std::size_t i = 0; i < 64; ++i) {
+        config.true_w.push_back(1.0 + static_cast<double>((i * 37) % 64) / 64.0);
+    }
+    config.z = 0.005;
+    config.block_count = 2048;
+    config.strategies.assign(config.true_w.size(), agents::truthful());
+    config.strategies[40] = agents::payment_cheater();
+    return {{"m=64 BUS-LINEAR-NCP-FE worker payment_cheater at P41", config}};
+}
+
 void expect_golden(const std::vector<Scenario>& scenarios) {
     for (const auto& scenario : scenarios) {
         test_support::expect_golden(test_support::capture(scenario.config), scenario.label,
@@ -424,13 +448,21 @@ TEST(ProtocolGolden, NameOrderAtTwelveProcessors) {
     EXPECT_TRUE(claimer.result.processor("P2").fined);
 }
 
+TEST(ProtocolGolden, FinedWorkerAtSixtyFourProcessors) {
+    const auto scenario = sixty_four_scenarios().front();
+    const auto run = test_support::capture(scenario.config);
+    test_support::expect_golden(run, scenario.label, kGolden);
+    EXPECT_EQ(run.result.fined_count(), 1u);
+    EXPECT_TRUE(run.result.processor("P41").fined);
+}
+
 // The table pins exactly the zoo: one row per scenario, no stale rows.
 TEST(ProtocolGolden, TableCoversExactlyTheZoo) {
     std::vector<std::string> labels;
     for (const auto& group : {honest_scenarios(), bandwidth_scenarios(),
                               worker_deviant_scenarios(), lo_deviant_scenarios(),
                               seed_scenarios(), verify_queue_scenarios(),
-                              name_order_scenarios()}) {
+                              name_order_scenarios(), sixty_four_scenarios()}) {
         for (const auto& scenario : group) labels.push_back(scenario.label);
     }
     std::vector<std::string> pinned;
