@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/profiler.hpp"
+#include "util/bytes.hpp"
 
 namespace dlsbl::obs {
 
 std::string catapult_from_trace(const sim::TraceRecorder& trace) {
+    OBS_SCOPE("catapult_export");
     constexpr double kMicros = 1e6;  // simulated seconds -> viewer microseconds
     // Track tids: "protocol" and "BUS" first, so the viewer shows them on
     // top, then one per trace name in the order it is first asked for.
@@ -41,37 +44,41 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace) {
     const auto bars = sim::bars_from_trace(trace);
     for (const auto& bar : bars) track(bar.lane);
 
-    std::string events;
-    bool first = true;
-    auto push = [&](const std::string& body) {
-        if (!first) events += ',';
-        first = false;
-        events += "\n{" + body + '}';
-    };
-    auto common = [&](const char* name, const char* cat, const char* ph,
-                      std::uint32_t tid, double ts) {
-        return "\"name\":" + json_escape(name) + ",\"cat\":\"" + cat +
-               "\",\"ph\":\"" + ph + "\",\"pid\":0,\"tid\":" + std::to_string(tid) +
-               ",\"ts\":" + json_number(ts * kMicros);
+    // The whole document is appended to one string, event by event. Its
+    // first event names the process; each later one opens with ",\n{".
+    std::string out =
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\","
+        "\"pid\":0,\"args\":{\"name\":\"dlsbl\"}}";
+    // Opens an event with the fields every non-metadata event starts with.
+    auto open_event = [&](std::string_view name, const char* cat, const char* ph,
+                          std::uint32_t tid, double ts) {
+        out += ",\n{\"name\":";
+        append_json_string(out, name);
+        out.append(",\"cat\":\"").append(cat).append("\",\"ph\":\"").append(ph);
+        out += "\",\"pid\":0,\"tid\":";
+        util::append_decimal(out, tid);
+        out += ",\"ts\":";
+        append_json_number(out, ts * kMicros);
     };
 
-    // Metadata: name the process and each track.
-    push("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"dlsbl\"}");
+    // Metadata: name each track.
     for (std::uint32_t tid = 0; tid < track_names.size(); ++tid) {
-        push("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-             std::to_string(tid) +
-             ",\"args\":{\"name\":" + json_escape(track_names[tid]) + '}');
+        out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
+        util::append_decimal(out, tid);
+        out += ",\"args\":{\"name\":";
+        append_json_string(out, track_names[tid]);
+        out += "}}";
     }
 
     // Interval events: the Gantt bars (compute spans per processor, load
     // transfers on the BUS lane), boundaries identical to gantt_from_trace.
     for (const auto& bar : bars) {
         const bool is_bus = bar.lane == sim::kBusLane;
-        std::string body = common(is_bus ? "load-transfer" : "compute",
-                                  is_bus ? "bus" : "compute", "X",
-                                  track(bar.lane), bar.start);
-        body += ",\"dur\":" + json_number((bar.end - bar.start) * kMicros);
-        push(body);
+        open_event(is_bus ? "load-transfer" : "compute", is_bus ? "bus" : "compute", "X",
+                   track(bar.lane), bar.start);
+        out += ",\"dur\":";
+        append_json_number(out, (bar.end - bar.start) * kMicros);
+        out += '}';
     }
 
     // Causal spans: the first trace record carrying each span id anchors it
@@ -86,10 +93,10 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace) {
         const auto it = anchors.find(span_id);
         return it != anchors.end() ? *it->second : unanchored;
     };
-    auto span_name = [&](const sim::TraceEvent& anchor, std::string unnamed) {
-        const bool named = anchor.kind == sim::TraceKind::kSpanBegin && anchor.note != sim::kNoName;
-        return named ? trace.text(anchor.note) : unnamed;
+    auto named = [](const sim::TraceEvent& anchor) {
+        return anchor.kind == sim::TraceKind::kSpanBegin && anchor.note != sim::kNoName;
     };
+    std::string scratch;  // reused for rendered details and unnamed span names
 
     // Instant events: messages, verdicts, churn marks, phase changes.
     for (const auto& event : trace.events()) {
@@ -97,39 +104,41 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace) {
             case sim::TraceKind::kMessageSent:
             case sim::TraceKind::kMessageDelivered:
             case sim::TraceKind::kVerdict:
-            case sim::TraceKind::kChurn: {
-                std::string body = common(sim::to_string(event.kind), "event", "i",
-                                          track(event.actor), event.time);
-                body += ",\"s\":\"t\",\"args\":{\"detail\":" +
-                        json_escape(trace.detail(event)) + '}';
-                push(body);
+            case sim::TraceKind::kChurn:
+                open_event(sim::to_string(event.kind), "event", "i", track(event.actor),
+                           event.time);
+                out += ",\"s\":\"t\",\"args\":{\"detail\":";
+                scratch.clear();
+                trace.append_detail(scratch, event);
+                append_json_string(out, scratch);
+                out += "}}";
                 break;
-            }
-            case sim::TraceKind::kPhaseChange: {
+            case sim::TraceKind::kPhaseChange:
                 // Global instants on the protocol track, named by the phase.
-                std::string body =
-                    common(trace.text(event.note).c_str(), "phase", "i",
-                           kProtocol, event.time);
-                body += ",\"s\":\"g\",\"args\":{}";
-                push(body);
+                open_event(trace.text(event.note), "phase", "i", kProtocol, event.time);
+                out += ",\"s\":\"g\",\"args\":{}}";
                 break;
-            }
             case sim::TraceKind::kSpanBegin:
             case sim::TraceKind::kSpanEnd: {
                 // Async begin/end pair keyed by span id: the viewer nests
                 // them by id, so run > phase > per-processor spans stack.
                 const bool begin = event.kind == sim::TraceKind::kSpanBegin;
                 const sim::TraceEvent& anchor = anchor_of(event.span_id);
-                const std::string name =
-                    span_name(anchor, "span-" + std::to_string(event.span_id));
-                std::string body = common(name.c_str(), "span", begin ? "b" : "e",
-                                          actor_track(anchor.actor), event.time);
-                body += ",\"id\":" + std::to_string(event.span_id);
-                if (begin) {
-                    body += ",\"args\":{\"parent\":" + std::to_string(event.parent_id) +
-                            '}';
+                const bool is_named = named(anchor);
+                if (!is_named) {
+                    scratch = "span-";
+                    util::append_decimal(scratch, event.span_id);
                 }
-                push(body);
+                open_event(is_named ? trace.text(anchor.note) : scratch, "span",
+                           begin ? "b" : "e", actor_track(anchor.actor), event.time);
+                out += ",\"id\":";
+                util::append_decimal(out, event.span_id);
+                if (begin) {
+                    out += ",\"args\":{\"parent\":";
+                    util::append_decimal(out, event.parent_id);
+                    out += '}';
+                }
+                out += '}';
                 break;
             }
             default:
@@ -153,18 +162,21 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace) {
         const std::uint32_t src_tid = actor_track(source.actor);
         const std::uint32_t dst_tid = actor_track(event.actor);
         if (src_tid == dst_tid) continue;  // same-track: nesting shows it
-        const std::string flow_name = span_name(source, "causal");
+        const std::string_view flow_name =
+            named(source) ? std::string_view(trace.text(source.note)) : "causal";
         ++edge_id;
-        std::string src = common(flow_name.c_str(), "flow", "s", src_tid, source.time);
-        src += ",\"id\":" + std::to_string(edge_id);
-        push(src);
-        std::string dst =
-            common(flow_name.c_str(), "flow", "f", dst_tid, event.time);
-        dst += ",\"bp\":\"e\",\"id\":" + std::to_string(edge_id);
-        push(dst);
+        open_event(flow_name, "flow", "s", src_tid, source.time);
+        out += ",\"id\":";
+        util::append_decimal(out, edge_id);
+        out += '}';
+        open_event(flow_name, "flow", "f", dst_tid, event.time);
+        out += ",\"bp\":\"e\",\"id\":";
+        util::append_decimal(out, edge_id);
+        out += '}';
     }
 
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[" + events + "\n]}\n";
+    out += "\n]}\n";
+    return out;
 }
 
 bool write_catapult_file(const std::string& path, const sim::TraceRecorder& trace) {

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "obs/json.hpp"
+#include "util/bytes.hpp"
 
 namespace dlsbl::obs {
 
@@ -55,20 +56,35 @@ Event& Event::span(const SpanContext& span) {
 }
 
 std::string Event::to_json() const {
-    std::string out = "{\"v\":" + std::to_string(kSchemaVersion);
-    out += ",\"level\":\"";
-    out += level_tag(level_);
-    out += "\",\"component\":" + json_escape(component_);
-    out += ",\"event\":" + json_escape(name_);
-    if (has_time_) out += ",\"t\":" + json_number(sim_time_);
+    std::string out = "{\"v\":";
+    util::append_decimal(out, kSchemaVersion);
+    out.append(",\"level\":\"").append(level_tag(level_)).append("\",\"component\":");
+    append_json_string(out, component_);
+    out += ",\"event\":";
+    append_json_string(out, name_);
+    if (has_time_) {
+        out += ",\"t\":";
+        append_json_number(out, sim_time_);
+    }
     if (span_.valid()) {
-        out += ",\"trace\":" + std::to_string(span_.trace_id);
-        out += ",\"span\":" + std::to_string(span_.span_id);
-        if (span_.parent_id != 0) out += ",\"parent\":" + std::to_string(span_.parent_id);
+        out += ",\"trace\":";
+        util::append_decimal(out, span_.trace_id);
+        out += ",\"span\":";
+        util::append_decimal(out, span_.span_id);
+        if (span_.parent_id != 0) {
+            out += ",\"parent\":";
+            util::append_decimal(out, span_.parent_id);
+        }
     }
     for (const auto& field : fields_) {
-        out += ',' + json_escape(field.key) + ':';
-        out += field.is_literal ? field.value : json_escape(field.value);
+        out += ',';
+        append_json_string(out, field.key);
+        out += ':';
+        if (field.is_literal) {
+            out += field.value;
+        } else {
+            append_json_string(out, field.value);
+        }
     }
     out += '}';
     return out;

@@ -1,19 +1,22 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace dlsbl::obs {
 
-std::string json_escape(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size() + 2);
+void append_json_string(std::string& out, std::string_view raw) {
     out += '"';
-    char buf[8];
-    for (const char c : raw) {
-        const auto byte = static_cast<unsigned char>(c);
-        switch (c) {
+    // Bytes that need no escape are copied a run at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        const auto byte = static_cast<unsigned char>(raw[i]);
+        if (byte >= 0x20 && byte < 0x80 && byte != '"' && byte != '\\') continue;
+        out.append(raw, run, i - run);
+        run = i + 1;
+        switch (byte) {
             case '"': out += "\\\""; continue;
             case '\\': out += "\\\\"; continue;
             case '\n': out += "\\n"; continue;
@@ -23,27 +26,53 @@ std::string json_escape(std::string_view raw) {
             case '\f': out += "\\f"; continue;
             default: break;
         }
-        if (byte < 0x20 || byte >= 0x80) {
-            // Control characters must be escaped; bytes >= 0x80 are escaped
-            // too so the output is valid JSON even for non-UTF8 input.
-            std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
-            out += buf;
-        } else {
-            out += c;
-        }
+        // Other control characters must be escaped; bytes >= 0x80 are
+        // escaped too so the output is valid JSON even for non-UTF8 input.
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4], kHex[byte & 0xf]};
+        out.append(escape, sizeof(escape));
     }
+    out.append(raw, run);
     out += '"';
+}
+
+std::string json_escape(std::string_view raw) {
+    std::string out;
+    out.reserve(raw.size() + 2);
+    append_json_string(out, raw);
     return out;
 }
 
-std::string json_number(double value) {
-    if (!std::isfinite(value)) return "null";
-    char buf[40];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value) break;
+void append_json_number(std::string& out, double value) {
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
     }
-    return buf;
+    char buf[32];
+    // No precision below the digit count of the shortest round trip can read
+    // back, so the search starts there. (Scientific form: the plain shortest
+    // form may print a large integer's exact digits instead.)
+    char* const shortest_end =
+        std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::scientific).ptr;
+    const auto digits = std::count_if(buf, std::find(buf, shortest_end, 'e'),
+                                      [](char c) { return c >= '0' && c <= '9'; });
+    for (auto precision = static_cast<int>(digits);; ++precision) {
+        char* const end = std::to_chars(buf, buf + sizeof(buf), value,
+                                        std::chars_format::general, precision)
+                              .ptr;
+        double parsed = 0.0;
+        if (precision < 17) std::from_chars(buf, end, parsed);
+        if (precision == 17 || parsed == value) {
+            out.append(buf, end);
+            return;
+        }
+    }
+}
+
+std::string json_number(double value) {
+    std::string out;
+    append_json_number(out, value);
+    return out;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -1,11 +1,14 @@
 // Minimal JSON support for the observability layer.
 //
 // Two halves:
-//   * emission — json_escape() turns arbitrary bytes (including embedded
-//     quotes, backslashes, control characters and non-UTF8 payloads) into a
-//     valid double-quoted JSON string literal, and json_number() formats a
-//     double with the shortest representation that round-trips through
-//     strtod, so identical runs emit byte-identical artifacts;
+//   * emission — append_json_string() turns arbitrary bytes (including
+//     embedded quotes, backslashes, control characters and non-UTF8
+//     payloads) into a valid double-quoted JSON string literal, and
+//     append_json_number() formats a double as printf "%.*g" at the smallest
+//     precision that reads back as the same double, so identical runs emit
+//     byte-identical artifacts. Both append to the caller's buffer, so a
+//     writer builds a whole document in one string; json_escape() and
+//     json_number() return the same bytes as a new string;
 //   * consumption — a small recursive-descent parser producing a JsonValue
 //     DOM. It exists so tests can assert that every JSONL line and every
 //     catapult export re-parses, without taking a third-party dependency.
@@ -25,10 +28,14 @@
 namespace dlsbl::obs {
 
 // Arbitrary bytes -> JSON string literal, quotes included.
+void append_json_string(std::string& out, std::string_view raw);
 std::string json_escape(std::string_view raw);
 
-// Shortest decimal representation of `value` that strtod parses back to the
-// same double. Non-finite values (JSON has no inf/nan) become "null".
+// printf "%.*g" of `value` in the C locale at the smallest precision (1..17)
+// whose text parses back to the same double; made with std::to_chars, so it
+// never depends on the process locale. Non-finite values (JSON has no
+// inf/nan) become "null".
+void append_json_number(std::string& out, double value);
 std::string json_number(double value);
 
 class JsonValue {

@@ -31,15 +31,24 @@ RunManifest& RunManifest::set_uint(std::string key, std::uint64_t value) {
 }
 
 std::string RunManifest::to_json(const MetricsRegistry* metrics) const {
-    std::string out = "{\"v\":" + std::to_string(kSchemaVersion);
-    out += ",\"tool\":\"dlsbl\"";
-    out += ",\"git\":" + json_escape(git_describe());
-    out += ",\"build\":" + json_escape(build_type());
+    std::string out = "{\"v\":" + std::to_string(kSchemaVersion) + ",\"tool\":\"dlsbl\",\"git\":";
+    append_json_string(out, git_describe());
+    out += ",\"build\":";
+    append_json_string(out, build_type());
     for (const auto& [key, value] : fields_) {
-        out += ',' + json_escape(key) + ':';
-        out += value.second ? value.first : json_escape(value.first);
+        out += ',';
+        append_json_string(out, key);
+        out += ':';
+        if (value.second) {
+            out += value.first;
+        } else {
+            append_json_string(out, value.first);
+        }
     }
-    if (metrics != nullptr) out += ",\"metrics\":" + metrics->json_snapshot();
+    if (metrics != nullptr) {
+        out += ",\"metrics\":";
+        out += metrics->json_snapshot();
+    }
     out += '}';
     return out;
 }

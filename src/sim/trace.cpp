@@ -5,6 +5,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
+
 namespace dlsbl::sim {
 
 const char* to_string(TraceKind kind) noexcept {
@@ -52,19 +54,33 @@ std::vector<TraceEvent> TraceRecorder::filter(TraceKind kind) const {
     return out;
 }
 
-std::string TraceRecorder::detail(const TraceEvent& event) const {
+void TraceRecorder::append_detail(std::string& out, const TraceEvent& event) const {
     switch (event.kind) {
         case TraceKind::kMessageSent:
-            return "to=" + text(event.peer) + " type=" + std::to_string(event.wire_type) +
-                   " bytes=" + std::to_string(static_cast<std::uint64_t>(event.amount));
+            out.append("to=").append(text(event.peer)).append(" type=");
+            util::append_decimal(out, event.wire_type);
+            out += " bytes=";
+            util::append_decimal(out, static_cast<std::uint64_t>(event.amount));
+            return;
         case TraceKind::kMessageDelivered:
-            return "from=" + text(event.peer) + " type=" + std::to_string(event.wire_type);
+            out.append("from=").append(text(event.peer)).append(" type=");
+            util::append_decimal(out, event.wire_type);
+            return;
         case TraceKind::kLoadTransferStart:
         case TraceKind::kLoadTransferEnd:
-            return "to=" + text(event.peer) + " units=" + std::to_string(event.amount);
+            out.append("to=").append(text(event.peer)).append(" units=");
+            out += std::to_string(event.amount);
+            return;
         default:
-            return text(event.note);
+            out += text(event.note);
+            return;
     }
+}
+
+std::string TraceRecorder::detail(const TraceEvent& event) const {
+    std::string out;
+    append_detail(out, event);
+    return out;
 }
 
 std::string TraceRecorder::render() const {
@@ -72,7 +88,9 @@ std::string TraceRecorder::render() const {
     char buf[64];
     for (const auto& event : events_) {
         std::snprintf(buf, sizeof(buf), "%12.6f  %-14s ", event.time, to_string(event.kind));
-        out += buf + text(event.actor) + "  " + detail(event) + '\n';
+        out.append(buf).append(text(event.actor)).append("  ");
+        append_detail(out, event);
+        out += '\n';
     }
     return out;
 }

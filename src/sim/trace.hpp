@@ -80,6 +80,8 @@ class TraceRecorder {
 
     // The text render() prints after the actor: "to=B type=7 bytes=5" (to=*
     // for a broadcast), "from=A type=7", "to=C units=0.250000", or the note.
+    // append_detail() writes it to the end of `out`; every renderer uses it.
+    void append_detail(std::string& out, const TraceEvent& event) const;
     [[nodiscard]] std::string detail(const TraceEvent& event) const;
     // Human-readable dump (one line per event).
     [[nodiscard]] std::string render() const;

@@ -5,6 +5,7 @@
 // sign/verify identical bytes. Little-endian, length-prefixed strings.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -29,6 +30,13 @@ inline SharedBytes share(Bytes bytes) {
 
 std::string to_hex(std::span<const std::uint8_t> data);
 Bytes from_hex(std::string_view hex);
+
+// Appends `value` in decimal, as std::to_string prints it, without a
+// temporary string.
+inline void append_decimal(std::string& out, std::uint64_t value) {
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
 inline Bytes to_bytes(std::string_view text) {
     return Bytes(text.begin(), text.end());
