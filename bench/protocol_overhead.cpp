@@ -14,7 +14,9 @@
 // A second section measures the *host* wall-clock cost of the cryptographic
 // substrate — the one real-time expense the mechanism adds — across SHA-256
 // backends and MSS keygen job counts. `--json-out PATH` writes those
-// timings to a BENCH_*.json document (bench/bench_json.hpp).
+// timings to a BENCH_*.json document (bench/bench_json.hpp). The smoke run
+// also times the catapult export of an m = 64 trace, the audit artifact
+// every perfbench adversarial_zoo run writes.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -33,7 +35,8 @@
 #include "protocol/messages.hpp"
 #include "protocol/wire.hpp"
 #include "dlt/finish_time.hpp"
-#include "protocol/runner.hpp"
+#include "obs/catapult.hpp"
+#include "protocol/detail/run_internals.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
 
@@ -195,6 +198,33 @@ Throughput message_throughput(std::size_t verify_batch, std::size_t trials) {
     return best;
 }
 
+// Host seconds for one catapult export of an honest m = 64 NCP-FE run's
+// trace (z = 0.005, 2048 blocks: the shape perfbench's adversarial_zoo
+// exports after every run). Median of `trials` exports of the same trace.
+double catapult_export_seconds(std::size_t trials) {
+    protocol::ProtocolConfig config;
+    config.kind = dlt::NetworkKind::kNcpFE;
+    config.z = 0.005;
+    config.true_w.resize(64);
+    for (std::size_t i = 0; i < config.true_w.size(); ++i) {
+        config.true_w[i] = 1.0 + static_cast<double>((i * 37) % 64) / 64.0;
+    }
+    config.block_count = 2048;
+    config.signature_algorithm = crypto::SignatureAlgorithm::kFast;
+
+    std::vector<double> samples;
+    protocol::run_protocol(config, [&](const protocol::RunInternals& internals) {
+        for (std::size_t t = 0; t < trials; ++t) {
+            const auto start = std::chrono::steady_clock::now();
+            const std::string json = obs::catapult_from_trace(internals.trace());
+            const auto stop = std::chrono::steady_clock::now();
+            samples.push_back(std::chrono::duration<double>(stop - start).count());
+        }
+    });
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,7 +236,8 @@ int main(int argc, char** argv) {
     auto options = bench::parallel_options(argc, argv, /*root_seed=*/22);
     options.exporter = exporter.get();
 
-    // --smoke: only the message-path series, at a budget fit for ctest.
+    // --smoke: only the message-path series and the catapult export, at a
+    // budget fit for ctest.
     // The sim grid and the keygen-bound wall-clock sections are full-length
     // measurements the bench-regress gate does not track.
     bool smoke = false;
@@ -226,6 +257,11 @@ int main(int argc, char** argv) {
         report.line(bench::fmt2(
             "flat codec + batch 64       : %.0f msg/s  (speedup %.2fx)", path_b64,
             path_b64 / path_eager));
+        report.section("catapult export of an m = 64 trace (host seconds)");
+        const std::size_t export_trials = 10;
+        const double export_s = catapult_export_seconds(export_trials);
+        report.line(bench::fmt2("median of %.0f exports        : %.6f s",
+                                static_cast<double>(export_trials), export_s));
         report.section("verdicts");
         report.verdict(path_b16 >= 1.5 * path_eager,
                        "flat codec + deferred batch verification moves >=1.5x more "
@@ -238,6 +274,7 @@ int main(int argc, char** argv) {
                 {"message_path/legacy_eager", path_trials, 64.0 / path_eager, 0.0},
                 {"message_path/flat_batch16", path_trials, 64.0 / path_b16, 0.0},
                 {"message_path/flat_batch64", path_trials, 64.0 / path_b64, 0.0},
+                {"obs_export/catapult_m64", export_trials, export_s, 0.0},
             };
             const std::map<std::string, double> derived{
                 {"messages_per_sec_legacy_eager", path_eager},
